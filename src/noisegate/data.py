@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import io
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class ParseError(ValueError):
@@ -23,13 +24,13 @@ class ParseError(ValueError):
 class Dataset:
     """Labeled feature matrix with an integer-encoded label vocabulary.
 
-    ``features`` is an (n, d) CSR matrix; rows are instances. ``labels``
+    ``features`` is a dense (n, d) float64 array; rows are instances. ``labels``
     holds class ids in [0, K) and ``label_names[id]`` is the original token.
     Instances are immutable after construction and safe to share across
     threads.
     """
 
-    features: sp.csr_matrix
+    features: np.ndarray
     labels: np.ndarray
     label_names: list[str]
 
@@ -55,26 +56,29 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, features, labels, label_names=None) -> "Dataset":
-        """Build a Dataset from dense or sparse features and integer labels."""
+        """Build a Dataset from a dense (n, d) array-like and integer labels.
+
+        The features are copied to float64, so later changes to the caller's
+        array do not reach the Dataset.
+        """
         labels = np.asarray(labels, dtype=np.int64)
         if label_names is None:
             k = int(labels.max()) + 1 if labels.size else 0
             label_names = [str(i) for i in range(k)]
-        mat = sp.csr_matrix(np.asarray(features, dtype=np.float64)
-                            if not sp.issparse(features) else features,
-                            dtype=np.float64)
-        return cls(mat, labels, list(label_names))
+        features = np.array(features, dtype=np.float64)
+        if features.ndim != 2:
+            raise ValueError(f"features must be 2-D, got {features.ndim}-D")
+        return cls(features, labels, list(label_names))
 
     def rows(self, indices) -> np.ndarray:
-        """Materialize the selected rows as a dense float array."""
-        return np.asarray(self.features[np.asarray(indices, dtype=np.int64)].todense())
+        """Copy of the selected rows."""
+        return self.features[np.asarray(indices, dtype=np.int64)]
 
     def equals(self, other: "Dataset") -> bool:
         return (
-            self.features.shape == other.features.shape
-            and self.label_names == other.label_names
+            self.label_names == other.label_names
             and np.array_equal(self.labels, other.labels)
-            and (self.features != other.features).nnz == 0
+            and np.array_equal(self.features, other.features)
         )
 
 
@@ -107,10 +111,6 @@ class ScalingSpec:
         if (self.mins > self.maxs).any():
             raise ValueError("column min exceeds max")
 
-    @classmethod
-    def identity(cls, d: int) -> "ScalingSpec":
-        return cls(np.zeros(d), np.ones(d))
-
 
 def _iter_lines(text):
     if isinstance(text, str):
@@ -123,6 +123,9 @@ def parse_libsvm(text) -> Dataset:
 
     Feature indices are 1-based and must be strictly increasing per line;
     labels are encoded in first-appearance order. Empty lines are skipped.
+    Values must be finite. The features are stored dense, so a file whose
+    n x d float64 matrix would exceed physical memory is rejected before
+    anything is allocated.
     """
     vocab: dict[str, int] = {}
     labels: list[int] = []
@@ -130,6 +133,7 @@ def parse_libsvm(text) -> Dataset:
     col_ind: list[int] = []
     values: list[float] = []
     d = 0
+    d_line = None
     n = 0
     for lineno, raw in enumerate(_iter_lines(text), start=1):
         parts = raw.split()
@@ -155,30 +159,37 @@ def parse_libsvm(text) -> Dataset:
                 val = float(val_str)
             except ValueError:
                 raise ParseError(f"non-numeric value {val_str!r}", lineno) from None
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite value {val_str!r}", lineno)
             row_ind.append(n)
             col_ind.append(idx - 1)
             values.append(val)
             prev = idx
         labels.append(vocab.setdefault(token, len(vocab)))
-        d = max(d, prev)
+        if prev > d:
+            d, d_line = prev, lineno
         n += 1
     if n == 0:
         raise ParseError("no instances")
-    mat = sp.coo_matrix((values, (row_ind, col_ind)), shape=(n, d), dtype=np.float64)
-    return Dataset(mat.tocsr(), np.asarray(labels, dtype=np.int64), list(vocab))
+    need = n * d * 8
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical:
+        raise ParseError(
+            f"feature index {d} makes the dense {n} x {d} matrix {need} bytes, "
+            f"more than the {physical} bytes of physical memory",
+            d_line,
+        )
+    features = np.zeros((n, d))
+    features[row_ind, col_ind] = values
+    return Dataset(features, np.asarray(labels, dtype=np.int64), list(vocab))
 
 
 def dump_libsvm(data: Dataset) -> str:
     """Serialize a Dataset back to sparse text; inverse of parse_libsvm."""
     out = []
-    mat = data.features
-    for i in range(data.n):
-        start, end = mat.indptr[i], mat.indptr[i + 1]
-        pairs = " ".join(
-            f"{j + 1}:{float(v)!r}" for j, v in zip(mat.indices[start:end], mat.data[start:end])
-        )
-        token = data.label_names[data.labels[i]]
-        out.append(f"{token} {pairs}".rstrip())
+    for row, label in zip(data.features, data.labels):
+        pairs = " ".join(f"{j + 1}:{float(row[j])!r}" for j in np.flatnonzero(row))
+        out.append(f"{data.label_names[label]} {pairs}".rstrip())
     return "\n".join(out) + "\n"
 
 
@@ -213,21 +224,22 @@ def parse_csv(text, label_column: int) -> Dataset:
                 labels.append(vocab.setdefault(cell.strip(), len(vocab)))
                 continue
             try:
-                feat.append(float(cell))
+                val = float(cell)
             except ValueError:
                 raise ParseError(f"non-numeric value {cell!r} in column {j}", lineno) from None
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite value {cell!r} in column {j}", lineno)
+            feat.append(val)
         rows.append(feat)
     if not rows:
         raise ParseError("no instances")
-    mat = sp.csr_matrix(np.asarray(rows, dtype=np.float64))
-    return Dataset(mat, np.asarray(labels, dtype=np.int64), list(vocab))
+    return Dataset(np.asarray(rows, dtype=np.float64), np.asarray(labels, dtype=np.int64),
+                   list(vocab))
 
 
 def min_max_scale(train: Dataset) -> tuple[Dataset, ScalingSpec]:
     """Fit per-column [0,1] scaling on train and return the scaled copy."""
-    mins = np.asarray(train.features.min(axis=0).todense()).ravel()
-    maxs = np.asarray(train.features.max(axis=0).todense()).ravel()
-    spec = ScalingSpec(mins, maxs)
+    spec = ScalingSpec(train.features.min(axis=0), train.features.max(axis=0))
     return apply_scale(spec, train), spec
 
 
@@ -238,13 +250,13 @@ def apply_scale(spec: ScalingSpec, data: Dataset) -> Dataset:
     """
     if data.d != spec.mins.shape[0]:
         raise ValueError(f"dataset has {data.d} columns, scaling spec has {spec.mins.shape[0]}")
-    dense = np.asarray(data.features.todense())
     span = spec.maxs - spec.mins
     nonconst = span > 0
-    scaled = np.zeros_like(dense)
-    scaled[:, nonconst] = (dense[:, nonconst] - spec.mins[nonconst]) / span[nonconst]
+    scaled = data.features - spec.mins
+    np.divide(scaled, span, out=scaled, where=nonconst)
+    scaled[:, ~nonconst] = 0.0
     np.clip(scaled, 0.0, 1.0, out=scaled)
-    return Dataset(sp.csr_matrix(scaled), data.labels, list(data.label_names))
+    return Dataset(scaled, data.labels, list(data.label_names))
 
 
 def partition(data: Dataset, M: int, seed: int) -> list[Partition]:

@@ -124,7 +124,7 @@ def filter_partition(
         grid = default_grid()
     if kernel is None:
         kernel = default_kernel(data.d)
-    rows = data.features[part.indices]
+    rows = data.rows(part.indices)
     model = train_ocsvm(rows, nu=nu, kernel=kernel, tol=tol, max_iter=max_iter)
     scores = decision_values(model, rows)
     labels = data.labels[part.indices]

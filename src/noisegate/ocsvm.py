@@ -13,7 +13,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 OCSVM_FORMAT = "noisegate-ocsvm"
 OCSVM_VERSION = 1
@@ -44,49 +43,26 @@ def default_kernel(d: int) -> KernelSpec:
     return KernelSpec("rbf", 1.0 / max(d, 1))
 
 
-def _row_dim(x) -> int:
-    return x.shape[1] if sp.issparse(x) else np.asarray(x).shape[-1]
-
-
-def _sq_norm(x) -> float:
-    if sp.issparse(x):
-        return float(x.multiply(x).sum())
-    x = np.asarray(x, dtype=np.float64)
-    return float(x @ x)
-
-
-def _dot(x, z) -> float:
-    if sp.issparse(x) or sp.issparse(z):
-        xs = x if sp.issparse(x) else sp.csr_matrix(np.atleast_2d(x))
-        zs = z if sp.issparse(z) else sp.csr_matrix(np.atleast_2d(z))
-        return float((xs @ zs.T).toarray()[0, 0])
+def kernel_eval(spec: KernelSpec, x, z) -> float:
+    """Evaluate k(x, z) for two dense 1-D rows of equal dimension."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    return float(x @ z)
-
-
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """Evaluate k(x, z) for dense or sparse rows of equal dimension."""
-    if _row_dim(x) != _row_dim(z):
+    if x.shape[-1] != z.shape[-1]:
         raise ValueError("kernel arguments have different dimensions")
+    dot = float(x @ z)
     if spec.kind == "linear":
-        return _dot(x, z)
-    d2 = _sq_norm(x) + _sq_norm(z) - 2.0 * _dot(x, z)
+        return dot
+    d2 = float(x @ x) + float(z @ z) - 2.0 * dot
     return float(np.exp(-spec.gamma * max(d2, 0.0)))
 
 
-def _matrix_sq_norms(X) -> np.ndarray:
-    if sp.issparse(X):
-        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
+def _matrix_sq_norms(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
 
 
-def _cross_kernel(spec: KernelSpec, X, Z) -> np.ndarray:
+def _cross_kernel(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Full kernel block k(X_i, Z_j) as a dense (n, m) array."""
     dots = X @ Z.T
-    if sp.issparse(dots):
-        dots = dots.toarray()
-    dots = np.asarray(dots, dtype=np.float64)
     if spec.kind == "linear":
         return dots
     d2 = _matrix_sq_norms(X)[:, None] + _matrix_sq_norms(Z)[None, :] - 2.0 * dots
@@ -97,7 +73,7 @@ def _cross_kernel(spec: KernelSpec, X, Z) -> np.ndarray:
 class KernelRowCache:
     """LRU cache of gram-matrix rows under a byte budget."""
 
-    def __init__(self, X, spec: KernelSpec, budget_bytes: int = 256 << 20):
+    def __init__(self, X: np.ndarray, spec: KernelSpec, budget_bytes: int = 256 << 20):
         self._X = X
         self._spec = spec
         self._sqn = _matrix_sq_norms(X) if spec.kind == "rbf" else None
@@ -110,11 +86,7 @@ class KernelRowCache:
         if cached is not None:
             self._rows.move_to_end(i)
             return cached
-        xi = self._X[i]
-        dots = self._X @ xi.T if sp.issparse(self._X) else self._X @ xi
-        if sp.issparse(dots):
-            dots = dots.toarray().ravel()
-        dots = np.asarray(dots, dtype=np.float64).ravel()
+        dots = self._X @ self._X[i]
         if self._spec.kind == "linear":
             r = dots
         else:
@@ -180,8 +152,8 @@ def train_ocsvm(
     ``converged=False`` and the remaining violation in ``residual``
     alongside a warning.
     """
-    n = X.shape[0]
-    d = X.shape[1]
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
     if n < 2:
         raise ValueError("training requires at least 2 rows")
     if not 0.0 < nu <= 1.0:
@@ -254,11 +226,8 @@ def train_ocsvm(
         rho = float(g[at_bound].max())
 
     keep = np.flatnonzero(alpha > 0)
-    sv = X[keep]
-    if sp.issparse(sv):
-        sv = np.asarray(sv.todense())
     return OcSvmModel(
-        support_vectors=np.asarray(sv, dtype=np.float64),
+        support_vectors=X[keep],
         alphas=alpha[keep].copy(),
         rho=rho,
         nu=nu,
@@ -273,15 +242,15 @@ def train_ocsvm(
 
 def decision_values(model: OcSvmModel, X) -> np.ndarray:
     """Scores for a batch of rows; larger means more inlier-like."""
-    if _row_dim(X) != model.support_vectors.shape[1]:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != model.support_vectors.shape[1]:
         raise ValueError("query dimension does not match support vectors")
     cross = _cross_kernel(model.kernel, X, model.support_vectors)
     return cross @ model.alphas - model.rho
 
 
 def decision_value(model: OcSvmModel, x) -> float:
-    row = x if sp.issparse(x) else np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return float(decision_values(model, row)[0])
+    return float(decision_values(model, x)[0])
 
 
 def predict_membership(model: OcSvmModel, x) -> int:

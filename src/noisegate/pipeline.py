@@ -207,14 +207,12 @@ def _prepare_eval_features(model: GlobalModel, test: Dataset) -> np.ndarray:
         raise ValueError(
             f"test data has {test.d} features, model expects {model.n_features}"
         )
-    dense = np.asarray(test.features.todense())
     if test.d < model.n_features:
         pad = np.zeros((test.n, model.n_features - test.d))
-        dense = np.hstack([dense, pad])
+        test = Dataset(np.hstack([test.features, pad]), test.labels, test.label_names)
     if model.scaling is not None:
-        scaled = Dataset.from_arrays(dense, np.zeros(test.n, dtype=np.int64), ["_"])
-        dense = np.asarray(apply_scale(model.scaling, scaled).features.todense())
-    return dense
+        test = apply_scale(model.scaling, test)
+    return test.features
 
 
 def evaluate_model(model: GlobalModel, test: Dataset):

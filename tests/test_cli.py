@@ -124,6 +124,18 @@ class TestCommands:
         code = main(["train", "--train", str(bad), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("text, message", [
+        ("a 1:1\nb 1:nan\n", "line 2: non-finite value 'nan'"),
+        ("a 1:inf\nb 1:1\n", "line 1: non-finite value 'inf'"),
+        ("a 1:1\nb 5000000000000:1\n", "line 2: feature index 5000000000000"),
+    ], ids=["nan", "inf", "oversized"])
+    def test_non_finite_or_oversized_input_is_data_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.svm"
+        bad.write_text(text)
+        code = main(["train", "--train", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_degenerate_ensemble_exit_code(self, tmp_path, capsys):
         xor = tmp_path / "xor.svm"
         xor.write_text("a 1:0 2:0\na 1:1 2:1\nb 1:0 2:1\nb 1:1 2:0\n")

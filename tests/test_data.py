@@ -19,8 +19,7 @@ class TestParseLibsvm:
     def test_basic(self):
         ds = parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1.0")
         assert (ds.n, ds.d, ds.K) == (2, 3, 2)
-        dense = np.asarray(ds.features.todense())
-        assert np.array_equal(dense, [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
+        assert np.array_equal(ds.features, [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
         assert ds.label_names == ["+1", "-1"]
         assert list(ds.labels) == [0, 1]
 
@@ -51,12 +50,28 @@ class TestParseLibsvm:
     def test_label_only_line_is_zero_row(self):
         ds = parse_libsvm("a 2:1\nb")
         assert ds.n == 2
-        assert ds.features[1].nnz == 0
+        assert np.count_nonzero(ds.features[1]) == 0
 
     def test_first_appearance_label_order(self):
         ds = parse_libsvm("z 1:1\na 1:1\nz 1:1")
         assert ds.label_names == ["z", "a"]
         assert list(ds.labels) == [0, 1, 0]
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_rejected(self, token):
+        with pytest.raises(ParseError, match=f"line 2: non-finite value '{token}'"):
+            parse_libsvm(f"1 1:1\n1 1:{token}")
+
+    def test_dense_footprint_over_physical_memory(self):
+        # index 5e12 on line 2 sets d; 2 x 5e12 float64 cells need 8e13 bytes
+        with pytest.raises(ParseError, match="80000000000000 bytes") as err:
+            parse_libsvm("1 1:1\n0 5000000000000:1")
+        assert err.value.line == 2
+        assert str(err.value).startswith("line 2: feature index 5000000000000")
+
+    def test_features_are_dense_float64(self):
+        ds = parse_libsvm("1 2:1\n2 1:3")
+        assert type(ds.features) is np.ndarray and ds.features.dtype == np.float64
 
     def test_file_like_stream(self, tmp_path):
         p = tmp_path / "d.svm"
@@ -85,7 +100,7 @@ class TestParseCsv:
     def test_basic(self):
         ds = parse_csv("1.0,2.0,a\n3.0,4.0,b", label_column=2)
         assert (ds.n, ds.d, ds.K) == (2, 2, 2)
-        assert np.array_equal(np.asarray(ds.features.todense()), [[1, 2], [3, 4]])
+        assert np.array_equal(ds.features, [[1, 2], [3, 4]])
 
     def test_single_class_accepted(self):
         ds = parse_csv("1.0,a\n2.0,a", label_column=1)
@@ -107,23 +122,28 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="line 2"):
             parse_csv("1.0,a\noops,a", label_column=1)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_rejected(self, token):
+        with pytest.raises(ParseError, match=f"line 3: non-finite value '{token}' in column 1"):
+            parse_csv(f"1.0,2.0,a\n3.0,4.0,b\n5.0,{token},a", label_column=2)
+
 
 class TestScaling:
     def test_maps_to_unit_interval(self):
         ds = Dataset.from_arrays([[0.0], [5.0], [10.0]], [0, 0, 1])
         scaled, spec = min_max_scale(ds)
-        assert np.allclose(np.asarray(scaled.features.todense()).ravel(), [0, 0.5, 1])
+        assert np.allclose(scaled.features.ravel(), [0, 0.5, 1])
         assert spec.mins[0] == 0 and spec.maxs[0] == 10
 
     def test_constant_column_maps_to_zero(self):
         ds = Dataset.from_arrays([[3.0], [3.0], [3.0]], [0, 0, 0])
         scaled, _ = min_max_scale(ds)
-        assert np.all(np.asarray(scaled.features.todense()) == 0)
+        assert np.all(scaled.features == 0)
 
     def test_apply_clamps_out_of_range(self):
         spec = ScalingSpec(np.array([0.0]), np.array([10.0]))
         out = apply_scale(spec, Dataset.from_arrays([[12.0], [-2.0]], [0, 0]))
-        assert np.array_equal(np.asarray(out.features.todense()).ravel(), [1.0, 0.0])
+        assert np.array_equal(out.features.ravel(), [1.0, 0.0])
 
     def test_idempotent_on_own_output(self):
         rng = np.random.default_rng(11)

@@ -60,13 +60,6 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             KernelSpec("linear", 1.0)
 
-    def test_sparse_rows_supported(self):
-        import scipy.sparse as sp
-
-        x = sp.csr_matrix([[1.0, 0.0, 2.0]])
-        z = sp.csr_matrix([[0.0, 1.0, 2.0]])
-        assert kernel_eval(KernelSpec("linear"), x, z) == 4.0
-
 
 class TestTraining:
     def test_identical_pair_nu_one(self):
