@@ -34,8 +34,8 @@ from .ensemble import (
 from .learners import (
     DecisionStump,
     KnnHypothesis,
+    KnnReference,
     RandomTree,
-    knn_predict,
     train_random_tree,
     train_stump,
     uniform_weights,

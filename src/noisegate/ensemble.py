@@ -16,15 +16,17 @@ import numpy as np
 from .data import ScalingSpec
 from .learners import (
     KnnHypothesis,
+    KnnReference,
     hypothesis_from_dict,
     train_random_tree,
     train_stump,
     uniform_weights,
-    weighted_error,
 )
 
 MODEL_FORMAT = "noisegate-model"
-MODEL_VERSION = 1
+# 2: a k-NN ensemble stores its reference set once ("knn"), and each member
+# only its weights; version-1 files, with refs/labels/k in every member, load.
+MODEL_VERSION = 2
 
 _ALPHA_CAP = math.log(1e10)
 _EPS_FLOOR = 1e-10
@@ -78,14 +80,25 @@ class PartitionEnsemble:
             raise ValueError("beta must lie in [0, 1]")
 
 
-def _train_weak(base: LearnerConfig, X, y, w, rng):
+def _predict(h, X, nearest: dict) -> np.ndarray:
+    """h's labels for the rows of X. ``nearest`` caches the neighbour query of
+    each k-NN reference set on X, so members sharing one search it once.
+    """
+    if not isinstance(h, KnnHypothesis):
+        return h.predict(X)
+    if h.reference not in nearest:
+        nearest[h.reference] = h.reference.neighbours(X)
+    return h.vote(nearest[h.reference])
+
+
+def _train_weak(base: LearnerConfig, X, y, w, rng, knn: KnnReference | None):
     if base.kind == "stump":
         return train_stump(X, y, w)
     if base.kind == "tree":
         return train_random_tree(
             X, y, w, max_depth=base.max_depth, k_candidates=base.k_candidates, seed=rng
         )
-    return KnnHypothesis(X, y, w, k=min(base.knn_k, X.shape[0]))
+    return KnnHypothesis(knn, w)
 
 
 def adaboost_train(
@@ -119,13 +132,17 @@ def adaboost_train(
         raise ValueError("need at least 2 classes")
     rng = np.random.default_rng(seed)
     w = uniform_weights(n)
+    knn = KnnReference(X, y, min(base.knn_k, n)) if base.kind == "knn" else None
+    nearest: dict[KnnReference, np.ndarray] = {}
     members: list[tuple[float, object]] = []
     trace = BoostTrace() if keep_trace else None
     if trace is not None:
         trace.weights.append(w.copy())
     for _ in range(T):
-        h = _train_weak(base, X, y, w, rng)
-        eps = weighted_error(h, X, y, w)
+        h = _train_weak(base, X, y, w, rng, knn)
+        pred = _predict(h, X, nearest)
+        mistakes = pred != y
+        eps = float(w[mistakes].sum())  # weighted_error without a second predict
         # the 1e-12 band keeps float noise from sneaking chance-level rounds in
         if eps >= 1.0 - 1.0 / K - 1e-12:
             continue
@@ -138,7 +155,6 @@ def adaboost_train(
             break
         alpha = min(math.log((1.0 - eps) / eps) + math.log(K - 1), _ALPHA_CAP)
         members.append((alpha, h))
-        mistakes = h.predict(X) != y
         w = w * np.exp(alpha * mistakes)
         w /= w.sum()
         if trace is not None:
@@ -161,8 +177,9 @@ def ensemble_scores(E: PartitionEnsemble, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     scores = np.zeros((X.shape[0], E.K))
     rows = np.arange(X.shape[0])
+    nearest: dict[KnnReference, np.ndarray] = {}
     for alpha, h in E.members:
-        np.add.at(scores, (rows, h.predict(X)), alpha)
+        np.add.at(scores, (rows, _predict(h, X, nearest)), alpha)
     return scores
 
 
@@ -231,17 +248,29 @@ def model_to_dict(G: GlobalModel) -> dict:
             "mins": G.scaling.mins.tolist(),
             "maxs": G.scaling.maxs.tolist(),
         },
-        "ensembles": [
-            {
-                "partition_id": E.partition_id,
-                "beta": E.beta,
-                "members": [
-                    {"alpha": alpha, "hypothesis": h.to_dict()} for alpha, h in E.members
-                ],
-            }
-            for E in G.ensembles
-        ],
+        "ensembles": [_ensemble_to_dict(E) for E in G.ensembles],
     }
+
+
+def _ensemble_to_dict(E: PartitionEnsemble) -> dict:
+    doc = {"partition_id": E.partition_id, "beta": E.beta}
+    knn = _shared_reference(E.partition_id, [h for _, h in E.members])
+    if knn is not None:
+        doc["knn"] = knn.to_dict()
+    doc["members"] = [{"alpha": alpha, "hypothesis": h.to_dict()} for alpha, h in E.members]
+    return doc
+
+
+def _shared_reference(partition_id: int, hypotheses) -> KnnReference | None:
+    """The one reference set of a partition's k-NN members, None without any."""
+    refs = [h.reference for h in hypotheses if isinstance(h, KnnHypothesis)]
+    if not refs:
+        return None
+    if any(r is not refs[0] and not r.equals(refs[0]) for r in refs[1:]):
+        raise ValueError(
+            f"partition {partition_id}: k-NN members disagree on their reference set"
+        )
+    return refs[0]
 
 
 def model_from_dict(doc: dict) -> GlobalModel:
@@ -261,13 +290,22 @@ def model_from_dict(doc: dict) -> GlobalModel:
         )
     ensembles = []
     for e in doc["ensembles"]:
+        pid = int(e["partition_id"])
+        knn = KnnReference.from_dict(e["knn"]) if "knn" in e else None
         members = [
-            (float(m["alpha"]), hypothesis_from_dict(m["hypothesis"]))
+            (float(m["alpha"]), hypothesis_from_dict(m["hypothesis"], knn))
             for m in e["members"]
         ]
+        if knn is None:
+            # version 1: every k-NN member carried its own copy of the references
+            knn = _shared_reference(pid, [h for _, h in members])
+            if knn is not None:
+                members = [
+                    (alpha, KnnHypothesis(knn, h.weights) if isinstance(h, KnnHypothesis) else h)
+                    for alpha, h in members
+                ]
         ensembles.append(
-            PartitionEnsemble(members, float(e["beta"]), int(e["partition_id"]),
-                              K=len(label_names))
+            PartitionEnsemble(members, float(e["beta"]), pid, K=len(label_names))
         )
     return GlobalModel(ensembles, label_names, scaling, dict(doc.get("provenance", {})),
                        int(doc["n_features"]))

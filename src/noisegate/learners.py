@@ -206,55 +206,114 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
     return RandomTree(build(np.arange(n), 0), max_depth)
 
 
-class KnnHypothesis:
-    """Weighted-vote k-NN over a fixed reference set."""
+# Distances per query block, so temporaries stay bounded for any query set.
+# A set that fits one block gets one matrix product; BLAS picks kernels by
+# shape, so cutting a product into row blocks can change its last bit.
+_BLOCK_ELEMENTS = 1 << 20
 
-    kind = "knn"
 
-    def __init__(self, refs, labels, weights, k: int):
+def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries per row, in exactly the order
+    ``np.argsort(d2, axis=1, kind="stable")[:, :k]`` gives them.
+
+    A partial selection finds the k candidates; they are ordered by
+    (distance, index). A row whose k-th distance is tied with an entry left
+    outside the candidates falls back to the full stable sort, so the lower
+    index always wins a tie.
+    """
+    cand = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+    vals = np.take_along_axis(d2, cand, axis=1)
+    out = np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    kth = vals.max(axis=1, keepdims=True)
+    ambiguous = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != k)
+    if ambiguous.size:
+        out[ambiguous] = np.argsort(d2[ambiguous], axis=1, kind="stable")[:, :k]
+    return out
+
+
+class KnnReference:
+    """Reference rows, their labels and k, shared by the k-NN members of one
+    boosted ensemble: only the per-reference weights change between rounds.
+    """
+
+    def __init__(self, refs, labels, k: int):
         self.refs = np.asarray(refs, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.weights = validate_weights(weights, self.refs.shape[0])
+        if self.labels.shape != (self.refs.shape[0],):
+            raise ValueError("reference labels are not aligned with the reference rows")
         if not 1 <= k <= self.refs.shape[0]:
             raise ValueError(f"k must be in [1, {self.refs.shape[0]}], got {k}")
         self.k = k
+        self.n_classes = int(self.labels.max()) + 1
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def neighbours(self, X) -> np.ndarray:
+        """Indices of the k nearest references per query row, shape (rows, k).
+
+        Nearest first; distance ties prefer the lower reference index.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        d2 = (
-            np.einsum("ij,ij->i", X, X)[:, None]
-            - 2.0 * X @ self.refs.T
-            + np.einsum("ij,ij->i", self.refs, self.refs)[None, :]
+        ref_sq = np.einsum("ij,ij->i", self.refs, self.refs)
+        out = np.empty((X.shape[0], self.k), dtype=np.intp)
+        step = max(1, _BLOCK_ELEMENTS // self.refs.shape[0])
+        for lo in range(0, X.shape[0], step):
+            B = X[lo:lo + step]
+            # |x|^2 - 2 x.r + |r|^2, evaluated in place in that order
+            d2 = (2.0 * B) @ self.refs.T
+            np.subtract(np.einsum("ij,ij->i", B, B)[:, None], d2, out=d2)
+            d2 += ref_sq
+            out[lo:lo + step] = _top_k(d2, self.k)
+        return out
+
+    def equals(self, other: "KnnReference") -> bool:
+        return (
+            self.k == other.k
+            and np.array_equal(self.refs, other.refs)
+            and np.array_equal(self.labels, other.labels)
         )
-        n_classes = int(self.labels.max()) + 1
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        votes = np.zeros((X.shape[0], n_classes))
-        rows = np.repeat(np.arange(X.shape[0]), self.k)
-        np.add.at(votes, (rows, self.labels[nearest].ravel()),
+
+    def to_dict(self) -> dict:
+        return {"refs": self.refs.tolist(), "labels": self.labels.tolist(), "k": self.k}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "KnnReference":
+        return cls(doc["refs"], doc["labels"], int(doc["k"]))
+
+
+class KnnHypothesis:
+    """Weighted-vote k-NN over a shared reference set."""
+
+    kind = "knn"
+
+    def __init__(self, reference: KnnReference, weights):
+        self.reference = reference
+        self.weights = validate_weights(weights, reference.refs.shape[0])
+
+    def vote(self, nearest: np.ndarray) -> np.ndarray:
+        """Class with the largest summed weight among each row's neighbours,
+        given ``reference.neighbours(X)``; vote ties take the lower class id.
+        """
+        n = nearest.shape[0]
+        votes = np.zeros((n, self.reference.n_classes))
+        rows = np.repeat(np.arange(n), nearest.shape[1])
+        np.add.at(votes, (rows, self.reference.labels[nearest].ravel()),
                   self.weights[nearest].ravel())
         return np.argmax(votes, axis=1)
 
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.vote(self.reference.neighbours(X))
+
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "refs": self.refs.tolist(),
-            "labels": self.labels.tolist(),
-            "weights": self.weights.tolist(),
-            "k": self.k,
-        }
+        """The member's own state; its ensemble stores the reference set once."""
+        return {"kind": self.kind, "weights": self.weights.tolist()}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "KnnHypothesis":
-        return cls(doc["refs"], doc["labels"], doc["weights"], int(doc["k"]))
-
-
-def knn_predict(refs, labels, ref_weights, x, k: int) -> int:
-    """Class with the largest summed reference weight among the k nearest.
-
-    Distance ties prefer the lower reference index; vote ties the lower
-    class id.
-    """
-    return int(KnnHypothesis(refs, labels, ref_weights, k).predict(np.atleast_2d(x))[0])
+    def from_dict(cls, doc: dict, reference: KnnReference | None = None) -> "KnnHypothesis":
+        """Rebuild on the ensemble's reference set; a version-1 document, which
+        carries its own ``refs``/``labels``/``k``, needs none.
+        """
+        if reference is None:
+            reference = KnnReference.from_dict(doc)
+        return cls(reference, doc["weights"])
 
 
 def weighted_error(hypothesis, X, y, w) -> float:
@@ -271,9 +330,12 @@ _HYPOTHESIS_KINDS = {
 }
 
 
-def hypothesis_from_dict(doc: dict):
+def hypothesis_from_dict(doc: dict, knn: KnnReference | None = None):
+    """Rebuild a member; ``knn`` is its ensemble's k-NN reference set, if any."""
     try:
         cls = _HYPOTHESIS_KINDS[doc["kind"]]
     except KeyError:
         raise ValueError(f"unknown hypothesis kind {doc.get('kind')!r}") from None
+    if cls is KnnHypothesis:
+        return cls.from_dict(doc, knn)
     return cls.from_dict(doc)

@@ -4,6 +4,11 @@ Each partition's instances are ranked by their one-class SVM decision value;
 candidate retained fractions p are scanned and the one minimizing
 gini(clean) / gini(noisy) wins. Ties prefer larger p (keep more data), and
 splits whose noisy side is pure or empty rank behind every finite ratio.
+
+A clean side with a single class scores ratio 0, the best possible. That is
+the right answer when a partition's clean rows really are one class, but
+boosting cannot train on one class, so the training pipeline walks
+``ranked_splits`` for the best cut it can boost.
 """
 
 from __future__ import annotations
@@ -101,8 +106,12 @@ def scan_split_percentage(labels, scores, grid) -> tuple[float, list[GiniScanPoi
         gn = gini_impurity(noisy_labels) if noisy_labels.size else 0.0
         ratio = gc / gn if gn > 0 else math.inf
         scan.append(GiniScanPoint(p, gc, gn, ratio))
-    best = min(scan, key=lambda pt: (pt.ratio, -pt.p))
-    return best.p, scan
+    return ranked_splits(scan)[0].p, scan
+
+
+def ranked_splits(scan: list[GiniScanPoint]) -> list[GiniScanPoint]:
+    """Scan points best first: lowest ratio, ties to the larger percentage."""
+    return sorted(scan, key=lambda pt: (pt.ratio, -pt.p))
 
 
 def filter_partition(

@@ -37,7 +37,15 @@ from .ensemble import (
     load_model,
     save_model,
 )
-from .noise_filter import default_grid, filter_partition, gini_impurity, scan_to_csv
+from .noise_filter import (
+    FilterResult,
+    default_grid,
+    filter_partition,
+    gini_impurity,
+    ranked_splits,
+    scan_to_csv,
+    split_by_score,
+)
 from .ocsvm import KernelSpec
 
 logger = logging.getLogger("noisegate")
@@ -238,13 +246,44 @@ def evaluate_model(model: GlobalModel, test: Dataset):
     return accuracy, confusion, unseen
 
 
+def _holdout_split(n_clean: int, beta_mode: str, seed: int):
+    """Positions of the clean rows to boost, and of those held out for beta
+    (None when there is no holdout)."""
+    if beta_mode == "holdout":
+        n_hold = max(1, int(math.floor(_BETA_HOLDOUT_FRACTION * n_clean + 0.5)))
+        if n_clean - n_hold >= 2:
+            order = np.random.default_rng(seed).permutation(n_clean)
+            return order[n_hold:], order[:n_hold]
+    return np.arange(n_clean), None
+
+
+def _boostable_split(part, fr: FilterResult, labels, beta_mode: str, holdout_seed: int):
+    """The best-ranked cut of the scan whose boosted rows hold two classes.
+
+    A clean side that is pure by chance scores ratio 0 and wins the scan, and
+    a holdout can take the one row of the clean side's minority class; boosting
+    cannot train on either. So the cuts are tried best first, and the first
+    whose boosted rows (the clean side less the holdout ``_holdout_split``
+    draws) hold two or more classes is taken. When none does, the scan's own
+    pick stands and boosting rejects the partition.
+    Returns the clean indices and the chosen scan point.
+    """
+    for pt in ranked_splits(fr.scan):
+        clean = split_by_score(part.indices, fr.scores, pt.p)[0]
+        boosted = _holdout_split(len(clean), beta_mode, holdout_seed)[0]
+        if np.unique(labels[clean[boosted]]).size >= 2:
+            return clean, pt
+    return fr.clean_indices, fr.chosen_point
+
+
 def _partition_stage(pid, part, data, cfg, kernel, grid, rep_seed):
     try:
+        holdout_seed = derive_seed(rep_seed, _STREAM_HOLDOUT, pid)
         if cfg.filtering:
             fr = filter_partition(part, data, nu=cfg.nu, kernel=kernel, grid=grid)
-            clean_idx = fr.clean_indices
-            pt = fr.chosen_point
-            chosen_p, g_clean, g_noisy, ratio = fr.chosen_p, pt.gini_clean, pt.gini_noisy, pt.ratio
+            clean_idx, pt = _boostable_split(part, fr, data.labels, cfg.beta_mode,
+                                             holdout_seed)
+            chosen_p, g_clean, g_noisy, ratio = pt.p, pt.gini_clean, pt.gini_noisy, pt.ratio
         else:
             clean_idx = part.indices
             chosen_p = 1.0
@@ -255,16 +294,7 @@ def _partition_stage(pid, part, data, cfg, kernel, grid, rep_seed):
         X = data.rows(clean_idx)
         y = data.labels[clean_idx]
         n_clean = len(clean_idx)
-        train_sel = np.arange(n_clean)
-        holdout_sel = None
-        if cfg.beta_mode == "holdout":
-            n_hold = max(1, int(math.floor(_BETA_HOLDOUT_FRACTION * n_clean + 0.5)))
-            if n_clean - n_hold >= 2:
-                order = np.random.default_rng(
-                    derive_seed(rep_seed, _STREAM_HOLDOUT, pid)
-                ).permutation(n_clean)
-                holdout_sel = order[:n_hold]
-                train_sel = order[n_hold:]
+        train_sel, holdout_sel = _holdout_split(n_clean, cfg.beta_mode, holdout_seed)
 
         ensemble = adaboost_train(
             X[train_sel],
@@ -441,7 +471,9 @@ def gini_scan(
     """Write per-partition impurity scans plus a cross-partition aggregate.
 
     Prints each partition's best retained fraction and the modal best across
-    partitions. Returns a summary with the chosen fractions and file paths.
+    partitions. A partition's best fraction is the best-ranked cut whose clean
+    side holds two classes, as ``train --beta-mode train`` picks it.
+    Returns a summary with the chosen fractions and file paths.
     """
     train = _parse(_read_text(train_path), fmt, label_column)
     working = min_max_scale(train)[0] if scaling else train
@@ -459,15 +491,16 @@ def gini_scan(
             fr = filter_partition(part, working, nu=nu, kernel=kernel, grid=grid)
         except Exception as exc:
             raise PartitionError(part.partition_id, exc) from exc
-        best_ps.append(fr.chosen_p)
+        best_p = _boostable_split(part, fr, working.labels, "train", 0)[1].p
+        best_ps.append(best_p)
         scans.append(fr.scan)
         full_ginis.append(gini_impurity(working.labels[part.indices]))
         path = os.path.join(output_dir, f"gini_partition_{part.partition_id:03d}.csv")
         with open(path, "w") as fh:
             fh.write(scan_to_csv(fr.scan))
         paths.append(path)
-        print(f"partition {part.partition_id}: best retained fraction p={fr.chosen_p:g} "
-              f"(removed fraction {1 - fr.chosen_p:g})")
+        print(f"partition {part.partition_id}: best retained fraction p={best_p:g} "
+              f"(removed fraction {1 - best_p:g})")
 
     agg_path = os.path.join(output_dir, "gini_aggregate.csv")
     mean_full = float(np.mean(full_ginis))

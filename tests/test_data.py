@@ -68,6 +68,10 @@ class TestParseLibsvm:
             parse_libsvm("1 1:1\n0 5000000000000:1")
         assert err.value.line == 2
         assert str(err.value).startswith("line 2: feature index 5000000000000")
+        # an index too large for a 64-bit integer fails the same check
+        with pytest.raises(ParseError, match="feature index 18446744073709551616 ") as err:
+            parse_libsvm("1 1:1\n0 2:1 18446744073709551616:1\n1 3:1")
+        assert err.value.line == 2
 
     def test_features_are_dense_float64(self):
         ds = parse_libsvm("1 2:1\n2 1:3")

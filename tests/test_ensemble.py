@@ -6,6 +6,7 @@ import pytest
 
 from noisegate.data import ScalingSpec
 from noisegate.ensemble import (
+    MODEL_VERSION,
     DegenerateEnsembleError,
     GlobalModel,
     LearnerConfig,
@@ -21,7 +22,9 @@ from noisegate.ensemble import (
     model_to_dict,
     save_model,
 )
-from noisegate.learners import DecisionStump, weighted_error
+from noisegate.learners import DecisionStump, KnnHypothesis, KnnReference, weighted_error
+
+from knn_oracle import knn_predict as knn_oracle
 
 
 def constant(c):
@@ -244,13 +247,67 @@ class TestModelSerialization:
 
     def test_newer_version_rejected(self):
         doc = model_to_dict(self.build())
-        doc["version"] = MODEL_VERSION_PLUS = 2
+        doc["version"] = MODEL_VERSION + 1
         with pytest.raises(ValueError, match="newer"):
             model_from_dict(doc)
 
     def test_wrong_format_rejected(self):
         with pytest.raises(ValueError, match="not an"):
             model_from_dict({"format": "tarball"})
+
+    def build_knn(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(50, 2))
+        y = (X[:, 0] > 0).astype(int)
+        ensembles = [
+            adaboost_train(X, y, T=4, base=LearnerConfig("knn", knn_k=3),
+                           seed=s, partition_id=s)
+            for s in range(2)
+        ]
+        return GlobalModel(ensembles, ["a", "b"], None, {}, n_features=2)
+
+    @staticmethod
+    def as_version_1(doc):
+        """The same model in the version-1 layout: every k-NN member repeats
+        its ensemble's refs, labels and k."""
+        doc = json.loads(json.dumps(doc))
+        doc["version"] = 1
+        for e in doc["ensembles"]:
+            knn = e.pop("knn")
+            for m in e["members"]:
+                m["hypothesis"] = {"kind": "knn", "refs": knn["refs"], "labels": knn["labels"],
+                                   "weights": m["hypothesis"]["weights"], "k": knn["k"]}
+        return doc
+
+    def test_knn_reference_stored_once_per_ensemble(self):
+        doc = model_to_dict(self.build_knn())
+        for e in doc["ensembles"]:
+            assert set(e["knn"]) == {"refs", "labels", "k"}
+            assert all(m["hypothesis"] == {"kind": "knn", "weights": m["hypothesis"]["weights"]}
+                       for m in e["members"])
+
+    def test_version_1_knn_document_loads_like_its_resave(self):
+        G = self.build_knn()
+        v2 = model_to_dict(G)
+        old = model_from_dict(self.as_version_1(v2))
+        for E in old.ensembles:
+            assert len({id(h.reference) for _, h in E.members}) == 1
+        resaved = model_from_dict(json.loads(json.dumps(model_to_dict(old))))
+        probes = np.random.default_rng(2).normal(size=(300, 2))
+        assert np.array_equal(global_predict_batch(old, probes),
+                              global_predict_batch(resaved, probes))
+        assert np.array_equal(global_predict_batch(old, probes),
+                              global_predict_batch(G, probes))
+        assert json.dumps(model_to_dict(old)) == json.dumps(v2)
+
+    def test_version_1_knn_members_disagreeing_on_refs_rejected(self):
+        doc = self.as_version_1(model_to_dict(self.build_knn()))
+        members = doc["ensembles"][1]["members"]
+        assert len(members) >= 2
+        last = members[-1]["hypothesis"]
+        last["refs"] = [[9.0, 9.0]] + last["refs"][1:]
+        with pytest.raises(ValueError, match="partition 1"):
+            model_from_dict(doc)
 
 
 class TestOtherBaseLearners:
@@ -260,6 +317,28 @@ class TestOtherBaseLearners:
         y = (X[:, 0] > 0).astype(int)
         E = adaboost_train(X, y, T=5, base=LearnerConfig("knn", knn_k=3), seed=0)
         assert (ensemble_predict_batch(E, X) == y).mean() >= 0.9
+
+    def test_knn_shared_neighbour_query_matches_oracle(self):
+        # integer grid: exact distances, many ties; every member votes on one
+        # neighbour query per call and must match the per-member brute force
+        rng = np.random.default_rng(7)
+        refs = rng.integers(0, 3, size=(12, 2)).astype(np.float64)
+        labels = rng.integers(0, 3, 12)
+        queries = rng.integers(0, 3, size=(30, 2)).astype(np.float64)
+        for k in range(1, 13):
+            ref = KnnReference(refs, labels, k)
+            members = []
+            for alpha in (0.7, 1.3, 0.4):
+                w = rng.uniform(0.01, 1, 12)
+                members.append((alpha, KnnHypothesis(ref, w / w.sum())))
+            E = PartitionEnsemble(members, 0.5, 0, K=3)
+            expect = []
+            for x in queries:
+                scores = np.zeros(3)
+                for alpha, h in members:
+                    scores[knn_oracle(refs, labels, h.weights, x, k)] += alpha
+                expect.append(int(np.argmax(scores)))
+            assert ensemble_predict_batch(E, queries).tolist() == expect
 
     def test_knn_k_capped_at_partition_size(self):
         rng = np.random.default_rng(8)

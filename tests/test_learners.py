@@ -3,17 +3,32 @@ import json
 import numpy as np
 import pytest
 
+from noisegate import learners
 from noisegate.learners import (
     DecisionStump,
     KnnHypothesis,
+    KnnReference,
+    _top_k,
     hypothesis_from_dict,
-    knn_predict,
     train_random_tree,
     train_stump,
     uniform_weights,
     validate_weights,
     weighted_error,
 )
+
+from knn_oracle import knn_nearest, knn_predict as knn_oracle
+
+
+def knn_predict(refs, labels, ref_weights, x, k):
+    """The package's prediction for one query row."""
+    h = KnnHypothesis(KnnReference(refs, labels, k), ref_weights)
+    return int(h.predict(np.atleast_2d(x))[0])
+
+
+def tie_heavy_grid(rng, n, d=2, side=3):
+    """Integer points on a small grid: many repeated rows and equal distances."""
+    return rng.integers(0, side, size=(n, d)).astype(np.float64)
 
 
 def stump_oracle_error(X, y, w):
@@ -168,16 +183,22 @@ class TestKnn:
             w = rng.uniform(0.01, 1, 5)
             w /= w.sum()
             x = rng.normal(size=2)
-            got = knn_predict(refs, labels, w, x, k=3)
-            # brute force: stable sort by (distance, index), then max summed vote
-            dist = [(float(np.sum((refs[i] - x) ** 2)), i) for i in range(5)]
-            nearest = [i for _, i in sorted(dist)[:3]]
-            votes = {}
-            for i in nearest:
-                votes[labels[i]] = votes.get(labels[i], 0.0) + w[i]
-            top = max(votes.values())
-            expect = min(c for c, v in votes.items() if v == top)
-            assert got == expect
+            assert knn_predict(refs, labels, w, x, k=3) == knn_oracle(refs, labels, w, x, k=3)
+
+    def test_tie_heavy_grid_matches_oracle_for_every_k(self):
+        rng = np.random.default_rng(12)
+        refs = tie_heavy_grid(rng, 13)
+        labels = rng.integers(0, 3, 13)
+        w = rng.uniform(0.01, 1, 13)
+        w /= w.sum()
+        queries = tie_heavy_grid(rng, 40)
+        for k in range(1, 14):
+            h = KnnHypothesis(KnnReference(refs, labels, k), w)
+            nearest = h.reference.neighbours(queries)
+            assert nearest.tolist() == [knn_nearest(refs, x, k) for x in queries]
+            assert h.predict(queries).tolist() == [
+                knn_oracle(refs, labels, w, x, k) for x in queries
+            ]
 
     def test_k_out_of_range(self):
         refs = np.zeros((3, 1))
@@ -191,6 +212,32 @@ class TestKnn:
         labels = np.array([0, 1, 2])
         # both first refs are at distance 1 from the origin
         assert knn_predict(refs, labels, uniform_weights(3), [0.0, 0.0], k=1) == 0
+
+
+class TestNeighbourSearch:
+    def test_top_k_matches_stable_argsort(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n, m = rng.integers(1, 25, size=2)
+            d2 = rng.integers(0, 4, size=(n, m)).astype(np.float64)  # many ties
+            for k in range(1, m + 1):
+                assert np.array_equal(
+                    _top_k(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k]
+                )
+
+    @pytest.mark.parametrize("n_queries", [1, 6, 7, 8, 29])
+    def test_blocked_query_matches_full_sort(self, monkeypatch, n_queries):
+        # 7 references and a 14-distance block: two query rows per block
+        monkeypatch.setattr(learners, "_BLOCK_ELEMENTS", 14)
+        rng = np.random.default_rng(n_queries)
+        refs = tie_heavy_grid(rng, 7, d=3)
+        queries = tie_heavy_grid(rng, n_queries, d=3)
+        d2 = ((queries[:, None, :] - refs[None, :, :]) ** 2).sum(axis=2)
+        for k in range(1, 8):
+            ref = KnnReference(refs, rng.integers(0, 2, 7), k)
+            assert np.array_equal(
+                ref.neighbours(queries), np.argsort(d2, axis=1, kind="stable")[:, :k]
+            )
 
 
 class TestWeightedError:
@@ -234,11 +281,13 @@ class TestSerialization:
         hyps = [
             train_stump(X, y, w),
             train_random_tree(X, y, w, max_depth=3, seed=2),
-            KnnHypothesis(X, y, w, k=3),
+            KnnHypothesis(KnnReference(X, y, 3), w),
         ]
         probes = rng.normal(size=(40, 3))
         for h in hyps:
-            back = hypothesis_from_dict(json.loads(json.dumps(h.to_dict())))
+            # a k-NN member stores only its weights; the reference set comes back
+            # from its ensemble
+            back = hypothesis_from_dict(json.loads(json.dumps(h.to_dict())), hyps[2].reference)
             assert np.array_equal(h.predict(probes), back.predict(probes))
 
     def test_unknown_kind(self):

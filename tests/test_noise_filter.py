@@ -9,6 +9,7 @@ from noisegate.noise_filter import (
     default_grid,
     filter_partition,
     gini_impurity,
+    ranked_splits,
     scan_split_percentage,
     scan_to_csv,
     split_by_score,
@@ -157,6 +158,14 @@ class TestScanSplitPercentage:
         best, scan = scan_split_percentage(labels, scores, [0.2, 0.4, 0.6])
         assert [pt.ratio for pt in scan] == [0.0, 0.0, 0.0]
         assert best == 0.6
+
+    def test_ranked_splits_order_by_ratio_then_larger_p(self):
+        labels = [0, 0, 0, 1, 2]
+        scores = [5.0, 4.0, 3.0, 2.0, 1.0]
+        best, scan = scan_split_percentage(labels, scores, [0.2, 0.4, 0.6, 0.8])
+        # ratios 0, 0, 0, inf: the three zeros by larger p, then the pure noisy side
+        assert [pt.p for pt in ranked_splits(scan)] == [0.6, 0.4, 0.2, 0.8]
+        assert ranked_splits(scan)[0].p == best
 
     def test_pure_noisy_side_ranks_after_finite_ratios(self):
         # at p=0.8 the noisy side is a pure singleton: ratio is infinite and

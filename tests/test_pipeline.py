@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from noisegate.data import dump_libsvm, parse_libsvm, partition as make_partitions
+from noisegate import pipeline
+from noisegate.data import Dataset, Partition, dump_libsvm, parse_libsvm
+from noisegate.data import partition as make_partitions
 from noisegate.ensemble import (
     DegenerateEnsembleError,
     GlobalModel,
@@ -24,7 +26,10 @@ from noisegate.pipeline import (
     _STREAM_BOOST,
     _STREAM_HOLDOUT,
     _STREAM_PARTITION,
+    _boostable_split,
+    _holdout_split,
 )
+from noisegate.noise_filter import FilterResult, scan_split_percentage, split_by_score
 from noisegate.synthetic import (
     ring_noise_dataset,
     striped_ring_dataset,
@@ -56,7 +61,111 @@ def small_cfg(tmp_path):
     )
 
 
+def ranked_filter(part, labels, grid):
+    """The filter's result when the scores rank the partition by index."""
+    scores = -part.indices.astype(np.float64)
+    best_p, scan = scan_split_percentage(labels[part.indices], scores, grid)
+    clean, noisy = split_by_score(part.indices, scores, best_p)
+    return FilterResult(clean, noisy, best_p, scan, scores)
+
+
+def minority_lost_to_holdout_labels(holdout_seed):
+    """20 labels: at p=0.5 the clean side (rows 0-9) holds one class-1 row,
+    placed where the holdout draws it; p=0.75 keeps four class-1 rows."""
+    labels = np.zeros(20, dtype=np.int64)
+    labels[_holdout_split(10, "holdout", holdout_seed)[1][0]] = 1
+    labels[10:] = [1, 0] * 5
+    return labels
+
+
+class TestBoostableSplit:
+    def test_chance_pure_clean_side_ranks_behind_mixed_ones(self):
+        # the two top-ranked rows are both class 0: at p=0.1 the clean side is
+        # pure and scores ratio 0, the scan's pick, but cannot be boosted
+        labels = np.array([0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1])
+        part = Partition(np.arange(20), 0)
+        fr = ranked_filter(part, labels, [0.1, 0.5, 0.9])
+        assert fr.chosen_p == 0.1 and fr.chosen_point.gini_clean == 0.0
+        clean, pt = _boostable_split(part, fr, labels, "train", 0)
+        assert pt == min(fr.scan[1:], key=lambda q: (q.ratio, -q.p))
+        assert np.array_equal(clean, split_by_score(part.indices, fr.scores, pt.p)[0])
+
+    def test_mixed_clean_side_beats_pure_one_even_with_pure_noisy_side(self):
+        labels = np.array([0, 0, 0, 1, 2])
+        part = Partition(np.arange(5), 0)
+        fr = ranked_filter(part, labels, [0.6, 0.8])
+        assert fr.chosen_p == 0.6 and np.isinf(fr.scan[1].ratio)
+        assert _boostable_split(part, fr, labels, "train", 0)[1].p == 0.8
+
+    def test_scan_pick_stands_when_no_cut_can_be_boosted(self):
+        labels = np.array([0, 0, 0, 1, 2])
+        part = Partition(np.arange(5), 0)
+        fr = ranked_filter(part, labels, [0.2, 0.4, 0.6])
+        clean, pt = _boostable_split(part, fr, labels, "train", 0)
+        assert pt.p == fr.chosen_p == 0.6
+        assert np.array_equal(clean, fr.clean_indices)
+
+    def test_holdout_taking_the_only_minority_row_moves_the_cut(self):
+        labels = minority_lost_to_holdout_labels(holdout_seed=5)
+        part = Partition(np.arange(20), 0)
+        fr = ranked_filter(part, labels, [0.5, 0.75])
+        assert fr.chosen_p == 0.5
+        # without a holdout the scan's pick is boostable ...
+        assert _boostable_split(part, fr, labels, "train", 5)[1].p == 0.5
+        # ... with it, the boosted rows of that cut are all class 0
+        clean, pt = _boostable_split(part, fr, labels, "holdout", 5)
+        assert pt.p == 0.75
+        boosted = clean[_holdout_split(len(clean), "holdout", 5)[0]]
+        assert np.unique(labels[boosted]).size == 2
+
+    def test_training_survives_a_holdout_that_takes_the_only_minority_row(
+            self, tmp_path, monkeypatch):
+        seed = 4
+        labels = minority_lost_to_holdout_labels(derive_seed(seed, _STREAM_HOLDOUT, 0))
+        ds = Dataset.from_arrays(np.arange(20.0).reshape(-1, 1), labels)
+        monkeypatch.setattr(
+            pipeline, "filter_partition",
+            lambda part, data, nu, kernel, grid: ranked_filter(part, data.labels, grid),
+        )
+        cfg = RunConfig(
+            train_path=write_dataset(tmp_path / "train.svm", ds),
+            output_dir=str(tmp_path / "out"),
+            partitions=1,
+            grid_step=0.25,
+            learner=LearnerConfig("stump"),
+            rounds=3,
+            seed=seed,
+            repetitions=1,
+            jobs=1,
+        )
+        # labels parse in order of first appearance, so class ids may swap
+        scan = ranked_filter(Partition(np.arange(20), 0), labels, [0.25, 0.5, 0.75]).scan
+        assert min(scan, key=lambda q: (q.ratio, -q.p)).p != 0.75
+        _, report = run_training(cfg)
+        summary = report.repetitions[0].partitions[0]
+        assert summary.chosen_p == 0.75
+        assert summary.retained == 15
+
+
 class TestRunTraining:
+    def test_chance_pure_clean_side_is_not_chosen(self, tmp_path):
+        # partition 19 of this split has a clean side that is pure by chance at
+        # p=0.05; choosing it used to fail boosting with a single-class error
+        cfg = RunConfig(
+            train_path=write_dataset(tmp_path / "train.svm",
+                                     striped_ring_dataset(n=10_000, seed=1)),
+            output_dir=str(tmp_path / "out"),
+            partitions=20,
+            learner=LearnerConfig("stump"),
+            rounds=5,
+            seed=7,
+            repetitions=1,
+            jobs=1,
+        )
+        _, report = run_training(cfg)
+        for summary in report.repetitions[0].partitions:
+            assert summary.gini_clean > 0
+
     def test_smoke_report_structure(self, small_cfg):
         model, report = run_training(small_cfg)
         assert report.mean_accuracy is not None
