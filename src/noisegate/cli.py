@@ -158,7 +158,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return EXIT_OK
     if ns.command == "gini-scan":
-        gini_scan(
+        result = gini_scan(
             ns.train_path,
             ns.output_dir,
             fmt=ns.format,
@@ -171,6 +171,12 @@ def _dispatch(ns: argparse.Namespace) -> int:
             seed=ns.seed,
             scaling=not ns.no_scale,
         )
+        best_ps = result["best_p_per_partition"]
+        for pid, best_p in enumerate(best_ps):
+            print(f"partition {pid}: best retained fraction p={best_p:g} "
+                  f"(removed fraction {1 - best_p:g})")
+        print(f"modal best retained fraction across {len(best_ps)} partitions: "
+              f"p={result['modal_best_p']:g}")
         return EXIT_OK
     if ns.command == "predict":
         labels = predict_labels(ns.model, ns.data_path, ns.format, ns.label_col)
@@ -194,7 +200,7 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except PartitionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.__cause__, DegenerateEnsembleError):
+        if exc.degenerate:
             return EXIT_DEGENERATE
         return EXIT_DATA
     except (ParseError, OSError, ValueError) as exc:

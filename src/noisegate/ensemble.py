@@ -17,6 +17,7 @@ from .data import ScalingSpec
 from .learners import (
     KnnHypothesis,
     KnnReference,
+    StumpIndex,
     hypothesis_from_dict,
     train_random_tree,
     train_stump,
@@ -91,14 +92,16 @@ def _predict(h, X, nearest: dict) -> np.ndarray:
     return h.vote(nearest[h.reference])
 
 
-def _train_weak(base: LearnerConfig, X, y, w, rng, knn: KnnReference | None):
+def _train_weak(base: LearnerConfig, X, y, w, rng, shared):
+    """One round's member; ``shared`` is the stump index or k-NN reference
+    set built once for all rounds, None for trees."""
     if base.kind == "stump":
-        return train_stump(X, y, w)
+        return train_stump(X, y, w, shared)
     if base.kind == "tree":
         return train_random_tree(
             X, y, w, max_depth=base.max_depth, k_candidates=base.k_candidates, seed=rng
         )
-    return KnnHypothesis(knn, w)
+    return KnnHypothesis(shared, w)
 
 
 def adaboost_train(
@@ -132,14 +135,18 @@ def adaboost_train(
         raise ValueError("need at least 2 classes")
     rng = np.random.default_rng(seed)
     w = uniform_weights(n)
-    knn = KnnReference(X, y, min(base.knn_k, n)) if base.kind == "knn" else None
+    shared = None
+    if base.kind == "stump":
+        shared = StumpIndex(X)
+    elif base.kind == "knn":
+        shared = KnnReference(X, y, min(base.knn_k, n))
     nearest: dict[KnnReference, np.ndarray] = {}
     members: list[tuple[float, object]] = []
     trace = BoostTrace() if keep_trace else None
     if trace is not None:
         trace.weights.append(w.copy())
     for _ in range(T):
-        h = _train_weak(base, X, y, w, rng, knn)
+        h = _train_weak(base, X, y, w, rng, shared)
         pred = _predict(h, X, nearest)
         mistakes = pred != y
         eps = float(w[mistakes].sum())  # weighted_error without a second predict
@@ -179,7 +186,7 @@ def ensemble_scores(E: PartitionEnsemble, X) -> np.ndarray:
     rows = np.arange(X.shape[0])
     nearest: dict[KnnReference, np.ndarray] = {}
     for alpha, h in E.members:
-        np.add.at(scores, (rows, _predict(h, X, nearest)), alpha)
+        scores[rows, _predict(h, X, nearest)] += alpha  # one entry per row
     return scores
 
 
@@ -227,7 +234,7 @@ def global_predict_batch(G: GlobalModel, X) -> np.ndarray:
     votes = np.zeros((X.shape[0], G.K))
     rows = np.arange(X.shape[0])
     for E in G.ensembles:
-        np.add.at(votes, (rows, ensemble_predict_batch(E, X)), E.beta)
+        votes[rows, ensemble_predict_batch(E, X)] += E.beta  # one entry per row
     return np.argmax(votes, axis=1)
 
 

@@ -70,41 +70,103 @@ class DecisionStump:
         return cls(int(doc["feature"]), float(doc["threshold"]), int(doc["left"]), int(doc["right"]))
 
 
-def train_stump(X, y, w) -> DecisionStump:
+# Temporaries stay near this many float64 elements for any input: the stump
+# search takes columns in blocks of this many (row, column, class) values,
+# the k-NN search query rows in blocks of this many distances. Columns are
+# independent, so blocking cannot change a stump. A k-NN query set that fits
+# one block gets one matrix product; BLAS picks kernels by shape, so cutting a
+# product into row blocks can change its last bit.
+_BLOCK_ELEMENTS = 1 << 20
+
+
+class StumpIndex:
+    """Each column's stable sort order over one training set, and which of the
+    n - 1 cuts along it fall between two distinct values. Shared by every
+    stump fit of one boosted ensemble: only the weights change between rounds.
+    """
+
+    def __init__(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        # one row per column, so each column's order is contiguous
+        self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+        vals = np.take_along_axis(X.T, self.order, axis=1)
+        # cut i lies between sorted positions i and i + 1; the last position
+        # has no successor
+        self.no_cut = np.ones(self.order.shape, dtype=bool)
+        self.no_cut[:, :-1] = ~(vals[:, :-1] < vals[:, 1:])
+
+
+def _misclassified(masses: list) -> np.ndarray:
+    """Per cut, the summed mass of the classes other than the largest.
+
+    The classes add in the order ``mass.sum(axis=-1)`` on the stacked (cut,
+    class) array adds them, so the sum is that of the one-array search bit for
+    bit: numpy adds fewer than 8 values one by one, more pairwise.
+    """
+    if len(masses) < 8:
+        total = masses[0] + masses[1]
+        for m in masses[2:]:
+            total += m
+    else:
+        total = np.stack(masses, axis=-1).sum(axis=-1)
+    top = np.maximum(masses[0], masses[1])
+    for m in masses[2:]:
+        np.maximum(top, m, out=top)
+    total -= top
+    return total
+
+
+def train_stump(X, y, w, index: StumpIndex | None = None) -> DecisionStump:
     """Exhaustive search over (feature, midpoint) splits.
 
     Minimizes weighted misclassification with weighted-majority leaves.
-    Ties keep the lowest feature index, then the lowest threshold.
+    Ties keep the lowest feature index, then the lowest threshold. ``index``
+    is X's column index; without one the fit builds its own.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
     w = validate_weights(w, n)
+    if index is None:
+        index = StumpIndex(X)
+    elif index.order.shape != (d, n):
+        raise ValueError(f"stump index is for shape {index.order.shape[::-1]}, not {(n, d)}")
     n_classes = int(y.max()) + 1
     total_mass = _weighted_class_mass(y, w, n_classes)
     majority = int(np.argmax(total_mass))
     best_err = float(total_mass.sum() - total_mass.max())
     best = DecisionStump(0, 0.0, majority, majority)
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    weighted = onehot * w[:, None]
-    for f in range(d):
-        order = np.argsort(X[:, f], kind="stable")
-        vals = X[order, f]
-        cum = np.cumsum(weighted[order], axis=0)
-        cuts = np.flatnonzero(vals[:-1] < vals[1:])
-        if cuts.size == 0:
-            continue
-        left = cum[cuts]
-        right = total_mass[None, :] - left
-        err = (left.sum(axis=1) - left.max(axis=1)) + (right.sum(axis=1) - right.max(axis=1))
-        b = int(np.argmin(err))
-        if err[b] < best_err - 1e-15:
-            thr = float((vals[cuts[b]] + vals[cuts[b] + 1]) / 2.0)
-            best_err = float(err[b])
-            best = DecisionStump(
-                f, thr, int(np.argmax(left[b])), int(np.argmax(right[b]))
-            )
+    if n_classes < 2:
+        return best
+    class_w = [np.where(y == c, w, 0.0) for c in range(n_classes)]
+    # per column: least error over its cuts, where it falls, and the class
+    # masses left of it
+    col_err = np.empty(d)
+    col_cut = np.empty(d, dtype=np.intp)
+    col_left = np.empty((n_classes, d))
+    step = max(1, _BLOCK_ELEMENTS // (n * n_classes))
+    for lo in range(0, d, step):
+        order = index.order[lo:lo + step]
+        left = [np.take(wc, order) for wc in class_w]
+        for m in left:
+            np.cumsum(m, axis=1, out=m)
+        err = _misclassified(left)
+        err += _misclassified([t - m for t, m in zip(total_mass, left)])
+        err[index.no_cut[lo:lo + step]] = np.inf
+        cut = np.argmin(err, axis=1)
+        rows = np.arange(cut.size)
+        col_err[lo:lo + step] = err[rows, cut]
+        col_cut[lo:lo + step] = cut
+        for c, m in enumerate(left):
+            col_left[c, lo:lo + step] = m[rows, cut]
+    for f, err_f in enumerate(col_err.tolist()):
+        if err_f < best_err - 1e-15:
+            below, above = index.order[f, col_cut[f]:col_cut[f] + 2]
+            left_mass = col_left[:, f]
+            best_err = err_f
+            best = DecisionStump(f, float((X[below, f] + X[above, f]) / 2.0),
+                                 int(np.argmax(left_mass)),
+                                 int(np.argmax(total_mass - left_mass)))
     return best
 
 
@@ -204,12 +266,6 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
         }
 
     return RandomTree(build(np.arange(n), 0), max_depth)
-
-
-# Distances per query block, so temporaries stay bounded for any query set.
-# A set that fits one block gets one matrix product; BLAS picks kernels by
-# shape, so cutting a product into row blocks can change its last bit.
-_BLOCK_ELEMENTS = 1 << 20
 
 
 def _top_k(d2: np.ndarray, k: int) -> np.ndarray:

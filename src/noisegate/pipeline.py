@@ -29,6 +29,7 @@ from .data import (
 )
 from .data import partition as make_partitions
 from .ensemble import (
+    DegenerateEnsembleError,
     GlobalModel,
     LearnerConfig,
     adaboost_train,
@@ -59,11 +60,21 @@ _BETA_HOLDOUT_FRACTION = 0.2
 
 
 class PartitionError(RuntimeError):
-    """A per-partition stage failed; carries the partition id for context."""
+    """A per-partition stage failed; carries the partition id for context.
 
-    def __init__(self, partition_id: int, cause: BaseException):
+    ``degenerate`` says whether the cause was a DegenerateEnsembleError. It is
+    kept as an attribute because pickling, which a worker process's failure
+    goes through, drops ``__cause__``.
+    """
+
+    def __init__(self, partition_id: int, cause: BaseException | str, degenerate: bool = False):
         super().__init__(f"partition {partition_id}: {cause}")
         self.partition_id = partition_id
+        self.degenerate = degenerate or isinstance(cause, DegenerateEnsembleError)
+        self._detail = str(cause)
+
+    def __reduce__(self):
+        return type(self), (self.partition_id, self._detail, self.degenerate)
 
 
 def derive_seed(*parts: int) -> int:
@@ -470,10 +481,10 @@ def gini_scan(
 ) -> dict:
     """Write per-partition impurity scans plus a cross-partition aggregate.
 
-    Prints each partition's best retained fraction and the modal best across
-    partitions. A partition's best fraction is the best-ranked cut whose clean
-    side holds two classes, as ``train --beta-mode train`` picks it.
-    Returns a summary with the chosen fractions and file paths.
+    A partition's best retained fraction is the best-ranked cut whose clean
+    side holds two classes, as ``train --beta-mode train`` picks it. Returns a
+    summary with each partition's best fraction (in partition-id order), the
+    modal best across partitions and the file paths; nothing is printed.
     """
     train = _parse(_read_text(train_path), fmt, label_column)
     working = min_max_scale(train)[0] if scaling else train
@@ -499,8 +510,6 @@ def gini_scan(
         with open(path, "w") as fh:
             fh.write(scan_to_csv(fr.scan))
         paths.append(path)
-        print(f"partition {part.partition_id}: best retained fraction p={best_p:g} "
-              f"(removed fraction {1 - best_p:g})")
 
     agg_path = os.path.join(output_dir, "gini_aggregate.csv")
     mean_full = float(np.mean(full_ginis))
@@ -514,7 +523,6 @@ def gini_scan(
 
     values, counts = np.unique(best_ps, return_counts=True)
     modal = float(values[counts == counts.max()].max())  # tie -> larger p
-    print(f"modal best retained fraction across {M} partitions: p={modal:g}")
     return {
         "best_p_per_partition": best_ps,
         "modal_best_p": modal,

@@ -1,9 +1,13 @@
 import json
 import os
+import pickle
 
 import pytest
 
+from noisegate import cli
 from noisegate.cli import build_config, cli_parse, main
+from noisegate.ensemble import DegenerateEnsembleError
+from noisegate.pipeline import PartitionError, gini_scan
 from noisegate.data import dump_libsvm
 from noisegate.noise_filter import default_grid
 from noisegate.synthetic import striped_ring_dataset
@@ -112,6 +116,22 @@ class TestCommands:
         assert "modal best retained fraction" in capsys.readouterr().out
         assert os.path.exists(os.path.join(out, "gini_aggregate.csv"))
 
+    def test_gini_scan_prints_each_partition_and_the_mode(self, data_files, tmp_path, capsys):
+        tp, _ = data_files
+        out = str(tmp_path / "scan")
+        summary = gini_scan(tp, out, grid_step=0.4, M=3, seed=5)
+        assert capsys.readouterr().out == ""
+        assert main(["gini-scan", "--train", tp, "--out", out,
+                     "--partitions", "3", "--grid-step", "0.4", "--seed", "5"]) == 0
+        expected = [
+            f"partition {pid}: best retained fraction p={p:g} (removed fraction {1 - p:g})"
+            for pid, p in enumerate(summary["best_p_per_partition"])
+        ]
+        expected.append(
+            f"modal best retained fraction across 3 partitions: p={summary['modal_best_p']:g}"
+        )
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--train", str(tmp_path / "nope.svm"),
                      "--out", str(tmp_path / "o")])
@@ -143,6 +163,23 @@ class TestCommands:
                      "--partitions", "1", "--learner", "stump", "--rounds", "5",
                      "--no-filter", "--no-scale", "--beta-mode", "train", "--reps", "1"])
         assert code == 4
+
+    @pytest.mark.parametrize("cause, code", [
+        (ValueError("bad rows"), 3),
+        (DegenerateEnsembleError("all rounds were skipped"), 4),
+    ], ids=["data", "degenerate"])
+    def test_unpickled_partition_error_exit_code(self, data_files, tmp_path, monkeypatch,
+                                                  capsys, cause, code):
+        # as a failure comes back from a worker process: without __cause__
+        err = pickle.loads(pickle.dumps(PartitionError(2, cause)))
+
+        def fail(cfg):
+            raise err
+
+        monkeypatch.setattr(cli, "run_training", fail)
+        tp, sp = data_files
+        assert main(train_args(tp, sp, str(tmp_path / "o"))) == code
+        assert capsys.readouterr().err == f"error: partition 2: {cause}\n"
 
     def test_log_env_var(self, data_files, tmp_path, monkeypatch, capsys):
         tp, sp = data_files

@@ -15,6 +15,7 @@ from noisegate.ensemble import (
     compute_beta,
     ensemble_predict,
     ensemble_predict_batch,
+    ensemble_scores,
     global_predict,
     global_predict_batch,
     load_model,
@@ -25,6 +26,7 @@ from noisegate.ensemble import (
 from noisegate.learners import DecisionStump, KnnHypothesis, KnnReference, weighted_error
 
 from knn_oracle import knn_predict as knn_oracle
+from stump_oracle import train_stump as stump_oracle
 
 
 def constant(c):
@@ -119,6 +121,50 @@ class TestAdaboostTrain:
         )
 
 
+class TestStumpBoosting:
+    def test_members_match_oracle_round_by_round(self):
+        rng = np.random.default_rng(21)
+        X = np.round(rng.normal(size=(80, 4)), 1)  # ties within every column
+        y = rng.integers(0, 3, 80)
+        E = adaboost_train(X, y, T=15, base=LearnerConfig("stump"))
+        K, w, expected = 3, np.full(80, 1 / 80), []
+        for _ in range(15):
+            h = stump_oracle(X, y, w)
+            mistakes = h.predict(X) != y
+            eps = float(w[mistakes].sum())
+            if eps >= 1.0 - 1.0 / K - 1e-12:
+                continue
+            if eps <= 1e-10:
+                expected.append((math.log(1e10), h.to_dict()))
+                break
+            alpha = min(math.log((1.0 - eps) / eps) + math.log(K - 1), math.log(1e10))
+            expected.append((alpha, h.to_dict()))
+            w = w * np.exp(alpha * mistakes)
+            w /= w.sum()
+        assert len(expected) > 1
+        assert [(alpha, h.to_dict()) for alpha, h in E.members] == expected
+
+    def test_columns_sorted_once_per_ensemble(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(60, 5))
+        y = rng.integers(0, 2, 60)  # label noise: no round is perfect
+        counts = {}
+        for T in (1, 20):
+            calls.clear()
+            E = adaboost_train(X, y, T=T, base=LearnerConfig("stump"))
+            counts[T] = len(calls)
+        assert len(E.members) == 20
+        assert counts[20] == counts[1] <= 1
+
+
 class TestEnsemblePredict:
     def test_single_member(self):
         E = PartitionEnsemble([(0.01, constant(2))], 0.5, 0, K=3)
@@ -145,6 +191,41 @@ class TestEnsemblePredict:
                 [(alpha * c, h) for alpha, h in E.members], E.beta, 0, E.K
             )
             assert np.array_equal(ensemble_predict_batch(scaled, probes), base_pred)
+
+
+class TestVoteSums:
+    """One vote per row per member, so plain fancy-index addition gives the
+    sums ``np.add.at`` gives."""
+
+    def random_stumps(self, rng, count, K):
+        return [
+            (float(rng.uniform(0.1, 3.0)),
+             DecisionStump(int(rng.integers(3)), float(rng.normal()),
+                           int(rng.integers(K)), int(rng.integers(K))))
+            for _ in range(count)
+        ]
+
+    def test_ensemble_scores_equal_add_at(self):
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(200, 3))
+        E = PartitionEnsemble(self.random_stumps(rng, 25, 4), 0.5, 0, K=4)
+        expected = np.zeros((200, 4))
+        for alpha, h in E.members:
+            np.add.at(expected, (np.arange(200), h.predict(X)), alpha)
+        assert np.array_equal(ensemble_scores(E, X), expected)
+
+    def test_global_votes_equal_add_at(self):
+        rng = np.random.default_rng(32)
+        X = rng.normal(size=(200, 3))
+        ensembles = [
+            PartitionEnsemble(self.random_stumps(rng, 5, 3), float(rng.random()), i, K=3)
+            for i in range(9)
+        ]
+        G = GlobalModel(ensembles, ["a", "b", "c"], None, {}, 3)
+        votes = np.zeros((200, 3))
+        for E in ensembles:
+            np.add.at(votes, (np.arange(200), ensemble_predict_batch(E, X)), E.beta)
+        assert np.array_equal(global_predict_batch(G, X), np.argmax(votes, axis=1))
 
 
 class TestComputeBeta:

@@ -8,6 +8,8 @@ from noisegate.learners import (
     DecisionStump,
     KnnHypothesis,
     KnnReference,
+    StumpIndex,
+    _misclassified,
     _top_k,
     hypothesis_from_dict,
     train_random_tree,
@@ -18,6 +20,7 @@ from noisegate.learners import (
 )
 
 from knn_oracle import knn_nearest, knn_predict as knn_oracle
+from stump_oracle import train_stump as stump_oracle
 
 
 def knn_predict(refs, labels, ref_weights, x, k):
@@ -106,6 +109,103 @@ class TestStump:
             stump = train_stump(X, y, w)
             const_err = min(w[y != c].sum() for c in np.unique(y))
             assert weighted_error(stump, X, y, w) <= const_err + 1e-12
+
+
+def random_weights(rng, n, zero_fraction=0.0):
+    """Skewed weights summing to 1, a share of them exactly zero."""
+    w = rng.random(n) ** 3
+    w[rng.random(n) < zero_fraction] = 0.0
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    return w / w.sum()
+
+
+def assert_stump_matches_oracle(X, y, w, index=None):
+    assert train_stump(X, y, w, index).to_dict() == stump_oracle(X, y, w).to_dict()
+
+
+class TestStumpIndexMatchesOracle:
+    @pytest.mark.parametrize("tie_heavy", [False, True], ids=["distinct", "tie-heavy"])
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_random_fits(self, K, tie_heavy):
+        rng = np.random.default_rng(100 * K + tie_heavy)
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            d = int(rng.integers(1, 6))
+            X = tie_heavy_grid(rng, n, d) if tie_heavy else rng.normal(size=(n, d))
+            y = rng.integers(0, K, n)
+            assert_stump_matches_oracle(X, y, random_weights(rng, n))
+
+    def test_nine_classes_add_pairwise(self):
+        # from 8 classes on, numpy sums a row of class masses pairwise
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            X = tie_heavy_grid(rng, 60, d=3, side=6)
+            assert_stump_matches_oracle(X, rng.integers(0, 9, 60), random_weights(rng, 60))
+
+    @pytest.mark.parametrize("K", range(2, 13))
+    def test_class_planes_add_like_one_row_sum(self, K):
+        # per-class planes must give the (cut, class) row sum bit for bit;
+        # magnitudes far apart make any other addition order round differently
+        rng = np.random.default_rng(K)
+        mass = rng.random((50, 4, K)) * 10.0 ** rng.integers(-8, 8, (50, 4, K))
+        planes = [np.ascontiguousarray(mass[..., c]) for c in range(K)]
+        assert np.array_equal(_misclassified(planes),
+                              mass.sum(axis=-1) - mass.max(axis=-1))
+
+    def test_constant_and_cutless_columns(self):
+        rng = np.random.default_rng(4)
+        n = 12
+        y = rng.integers(0, 3, n)
+        w = random_weights(rng, n)
+        assert_stump_matches_oracle(np.full((n, 3), 2.5), y, w)
+        X = np.c_[np.zeros(n), tie_heavy_grid(rng, n, d=1), np.full(n, -1.0)]
+        assert_stump_matches_oracle(X, y, w)
+
+    def test_zero_weight_rows(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(2, 30))
+            X = tie_heavy_grid(rng, n, d=3)
+            y = rng.integers(0, 3, n)
+            assert_stump_matches_oracle(X, y, random_weights(rng, n, zero_fraction=0.5))
+
+    @pytest.mark.parametrize("X", [[[0.0], [1.0]], [[1.0], [1.0]], [[3.0, 1.0], [2.0, 1.0]]])
+    def test_two_rows(self, X):
+        for y in ([0, 1], [1, 0], [1, 1]):
+            for w in ([0.5, 0.5], [0.25, 0.75], [1.0, 0.0]):
+                assert_stump_matches_oracle(np.array(X), np.array(y), np.array(w))
+
+    def test_one_row(self):
+        for y in ([0], [2]):
+            assert_stump_matches_oracle(np.array([[3.0, 1.0]]), np.array(y), np.array([1.0]))
+
+    def test_blocked_columns_match_one_block(self, monkeypatch):
+        # 10 rows, 3 classes and a 60-value block: two columns per block
+        monkeypatch.setattr(learners, "_BLOCK_ELEMENTS", 60)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            X = tie_heavy_grid(rng, 10, d=11)
+            y = rng.integers(0, 3, 10)
+            assert_stump_matches_oracle(X, y, random_weights(rng, 10, zero_fraction=0.2))
+
+    def test_shared_index_across_weight_vectors(self):
+        rng = np.random.default_rng(12)
+        X = tie_heavy_grid(rng, 40, d=4, side=5)
+        y = rng.integers(0, 3, 40)
+        index = StumpIndex(X)
+        for _ in range(20):
+            assert_stump_matches_oracle(X, y, random_weights(rng, 40, 0.1), index)
+
+    def test_index_for_another_shape_rejected(self):
+        X = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="stump index"):
+            train_stump(X, np.array([0, 1, 0, 1]), uniform_weights(4), StumpIndex(X.T))
+
+    def test_index_size_bounded_by_the_features(self):
+        X = np.random.default_rng(0).normal(size=(200, 30))
+        index = StumpIndex(X)
+        assert index.order.nbytes + index.no_cut.nbytes <= 2 * X.nbytes
 
 
 class TestRandomTree:

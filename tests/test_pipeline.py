@@ -1,4 +1,5 @@
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -279,6 +280,22 @@ class TestRunTraining:
         assert err.value.partition_id == 0
         assert isinstance(err.value.__cause__, DegenerateEnsembleError)
 
+    @pytest.mark.parametrize("cause, degenerate", [
+        (ValueError("x"), False),
+        (DegenerateEnsembleError("all 5 rounds were skipped"), True),
+    ], ids=["data", "degenerate"])
+    def test_partition_error_survives_pickling(self, cause, degenerate):
+        try:
+            raise PartitionError(3, cause) from cause
+        except PartitionError as exc:
+            err = exc
+        copy = pickle.loads(pickle.dumps(err))
+        assert type(copy) is PartitionError
+        assert copy.partition_id == 3
+        assert str(copy) == str(err) == f"partition 3: {cause}"
+        assert copy.degenerate is err.degenerate is degenerate
+        assert copy.__cause__ is None
+
     def test_validation_errors(self, small_cfg):
         small_cfg.partitions = 0
         with pytest.raises(ValueError):
@@ -389,6 +406,13 @@ class TestGiniScan:
         # the single dominant class keeps the clean side pure at many cuts,
         # so honor the scan's own tie rule rather than a naive argmin
         assert abs(out["modal_best_p"] - 0.9) <= 0.05 + 1e-9
+
+    def test_prints_nothing(self, tmp_path, capsys):
+        ds = ring_noise_dataset(100, 0.1, seed=3)
+        path = write_dataset(tmp_path / "d.svm", ds)
+        gini_scan(path, str(tmp_path / "scan"), nu=0.5, gamma=0.5, M=2, seed=0,
+                  scaling=False)
+        assert capsys.readouterr().out == ""
 
     def test_modal_best_p(self, tmp_path):
         ds = ring_noise_dataset(200, 0.1, seed=6)
