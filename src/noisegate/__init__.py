@@ -26,8 +26,6 @@ from .ensemble import (
     PartitionEnsemble,
     adaboost_train,
     compute_beta,
-    ensemble_predict,
-    global_predict,
     load_model,
     save_model,
 )
@@ -54,13 +52,8 @@ from .ocsvm import (
     ConvergenceWarning,
     KernelSpec,
     OcSvmModel,
-    decision_value,
     decision_values,
-    kernel_eval,
     kkt_residual,
-    load_ocsvm,
-    predict_membership,
-    save_ocsvm,
     train_ocsvm,
 )
 from .pipeline import (

@@ -119,7 +119,8 @@ def adaboost_train(
     Rounds whose weighted error reaches 1 - 1/K contribute nothing and are
     skipped; a round with essentially zero error is appended with a capped
     vote weight and stops the loop. Raises DegenerateEnsembleError when no
-    round at all survives.
+    round at all survives. The ensemble comes back with beta 0: the caller
+    measures it with compute_beta on the rows it chooses.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -173,10 +174,7 @@ def adaboost_train(
             f"all {T} rounds were skipped on partition {partition_id}: "
             f"base learner never beat chance for K={K}"
         )
-    ensemble = PartitionEnsemble(members, beta=0.0, partition_id=partition_id, K=K,
-                                 trace=trace)
-    ensemble.beta = compute_beta(ensemble, X, y)
-    return ensemble
+    return PartitionEnsemble(members, beta=0.0, partition_id=partition_id, K=K, trace=trace)
 
 
 def ensemble_scores(E: PartitionEnsemble, X) -> np.ndarray:
@@ -191,12 +189,8 @@ def ensemble_scores(E: PartitionEnsemble, X) -> np.ndarray:
 
 
 def ensemble_predict_batch(E: PartitionEnsemble, X) -> np.ndarray:
+    """Class with the largest summed vote weight per row; ties take the lowest id."""
     return np.argmax(ensemble_scores(E, X), axis=1)
-
-
-def ensemble_predict(E: PartitionEnsemble, x) -> int:
-    """Class with the largest summed vote weight; ties take the lowest id."""
-    return int(ensemble_predict_batch(E, np.atleast_2d(x))[0])
 
 
 def compute_beta(E: PartitionEnsemble, holdout_X, holdout_y) -> float:
@@ -230,18 +224,14 @@ class GlobalModel:
 
 
 def global_predict_batch(G: GlobalModel, X) -> np.ndarray:
+    """Accuracy-weighted vote across partition ensembles; ties take the
+    lowest class id."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     votes = np.zeros((X.shape[0], G.K))
     rows = np.arange(X.shape[0])
     for E in G.ensembles:
         votes[rows, ensemble_predict_batch(E, X)] += E.beta  # one entry per row
     return np.argmax(votes, axis=1)
-
-
-def global_predict(G: GlobalModel, x) -> int:
-    """Accuracy-weighted vote across partition ensembles; ties take the
-    lowest class id."""
-    return int(global_predict_batch(G, np.atleast_2d(x))[0])
 
 
 def model_to_dict(G: GlobalModel) -> dict:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Partition
-from .ocsvm import KernelSpec, decision_values, default_kernel, train_ocsvm
+from .ocsvm import KernelSpec, decision_values, train_ocsvm
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,6 @@ def filter_partition(
         raise ValueError(f"partition {part.partition_id} has fewer than 2 instances")
     if grid is None:
         grid = default_grid()
-    if kernel is None:
-        kernel = default_kernel(data.d)
     rows = data.rows(part.indices)
     model = train_ocsvm(rows, nu=nu, kernel=kernel, tol=tol, max_iter=max_iter)
     scores = decision_values(model, rows)

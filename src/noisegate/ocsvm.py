@@ -7,15 +7,11 @@ sum_i a_i k(x_i, x) - rho; negative scores mark anomalies.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-
-OCSVM_FORMAT = "noisegate-ocsvm"
-OCSVM_VERSION = 1
 
 _KINDS = ("rbf", "linear")
 
@@ -41,19 +37,6 @@ class KernelSpec:
 
 def default_kernel(d: int) -> KernelSpec:
     return KernelSpec("rbf", 1.0 / max(d, 1))
-
-
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """Evaluate k(x, z) for two dense 1-D rows of equal dimension."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if x.shape[-1] != z.shape[-1]:
-        raise ValueError("kernel arguments have different dimensions")
-    dot = float(x @ z)
-    if spec.kind == "linear":
-        return dot
-    d2 = float(x @ x) + float(z @ z) - 2.0 * dot
-    return float(np.exp(-spec.gamma * max(d2, 0.0)))
 
 
 def _matrix_sq_norms(X: np.ndarray) -> np.ndarray:
@@ -249,15 +232,6 @@ def decision_values(model: OcSvmModel, X) -> np.ndarray:
     return cross @ model.alphas - model.rho
 
 
-def decision_value(model: OcSvmModel, x) -> float:
-    return float(decision_values(model, x)[0])
-
-
-def predict_membership(model: OcSvmModel, x) -> int:
-    """+1 inlier / -1 anomaly; a score of exactly 0 counts as inlier."""
-    return -1 if decision_value(model, x) < 0 else 1
-
-
 def kkt_residual(model: OcSvmModel, X) -> float:
     """Maximum optimality violation of the model over its training rows.
 
@@ -282,44 +256,3 @@ def kkt_residual(model: OcSvmModel, X) -> float:
     if can_up.any() and can_down.any():
         pair = max(0.0, float(g[can_down].max() - g[can_up].min()))
     return max(box, simplex, pair)
-
-
-def model_to_dict(model: OcSvmModel) -> dict:
-    return {
-        "format": OCSVM_FORMAT,
-        "version": OCSVM_VERSION,
-        "kernel": {"kind": model.kernel.kind, "gamma": model.kernel.gamma},
-        "nu": model.nu,
-        "rho": model.rho,
-        "support_vectors": model.support_vectors.tolist(),
-        "alphas": model.alphas.tolist(),
-    }
-
-
-def model_from_dict(doc: dict) -> OcSvmModel:
-    if doc.get("format") != OCSVM_FORMAT:
-        raise ValueError("not a one-class SVM model document")
-    version = doc.get("version")
-    if not isinstance(version, int) or version > OCSVM_VERSION:
-        raise ValueError(
-            f"model version {version!r} is newer than supported ({OCSVM_VERSION})"
-        )
-    kern = doc["kernel"]
-    return OcSvmModel(
-        support_vectors=np.asarray(doc["support_vectors"], dtype=np.float64),
-        alphas=np.asarray(doc["alphas"], dtype=np.float64),
-        rho=float(doc["rho"]),
-        nu=float(doc["nu"]),
-        kernel=KernelSpec(kern["kind"], kern["gamma"]),
-    )
-
-
-def save_ocsvm(model: OcSvmModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
-
-
-def load_ocsvm(path) -> OcSvmModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

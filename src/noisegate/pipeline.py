@@ -47,7 +47,7 @@ from .noise_filter import (
     scan_to_csv,
     split_by_score,
 )
-from .ocsvm import KernelSpec
+from .ocsvm import KernelSpec, default_kernel
 
 logger = logging.getLogger("noisegate")
 
@@ -106,6 +106,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.fmt not in ("libsvm", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if self.kernel_kind not in ("rbf", "linear"):
+            raise ValueError(f"unknown kernel kind {self.kernel_kind!r}")
         if self.partitions < 1:
             raise ValueError("partition count must be >= 1")
         if self.repetitions < 1:
@@ -216,9 +218,9 @@ def _parse(text: str, fmt: str, label_column: int) -> Dataset:
 
 
 def _resolve_kernel(cfg_kind: str, gamma: float | None, d: int) -> KernelSpec:
-    if cfg_kind == "linear":
-        return KernelSpec("linear")
-    return KernelSpec("rbf", gamma if gamma is not None else 1.0 / max(d, 1))
+    if cfg_kind == "rbf" and gamma is None:
+        return default_kernel(d)
+    return KernelSpec(cfg_kind, gamma if cfg_kind == "rbf" else None)
 
 
 def _prepare_eval_features(model: GlobalModel, test: Dataset) -> np.ndarray:
@@ -316,8 +318,8 @@ def _partition_stage(pid, part, data, cfg, kernel, grid, rep_seed):
             n_classes=data.K,
             partition_id=pid,
         )
-        if holdout_sel is not None:
-            compute_beta(ensemble, X[holdout_sel], y[holdout_sel])
+        sel = holdout_sel if holdout_sel is not None else train_sel
+        compute_beta(ensemble, X[sel], y[sel])
 
         summary = PartitionSummary(
             partition_id=pid,

@@ -13,10 +13,8 @@ from noisegate.ensemble import (
     PartitionEnsemble,
     adaboost_train,
     compute_beta,
-    ensemble_predict,
     ensemble_predict_batch,
     ensemble_scores,
-    global_predict,
     global_predict_batch,
     load_model,
     model_from_dict,
@@ -104,11 +102,6 @@ class TestAdaboostTrain:
         assert len(E.members) == 1
         assert E.members[0][0] == pytest.approx(math.log(1e10))
 
-    def test_beta_initialized_to_training_accuracy(self):
-        X, y = separable_two_class(80, seed=4)
-        E = adaboost_train(X, y, T=20, base=LearnerConfig("stump"))
-        assert E.beta == pytest.approx((ensemble_predict_batch(E, X) == y).mean())
-
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(50, 3))
@@ -168,16 +161,16 @@ class TestStumpBoosting:
 class TestEnsemblePredict:
     def test_single_member(self):
         E = PartitionEnsemble([(0.01, constant(2))], 0.5, 0, K=3)
-        assert ensemble_predict(E, [0.0]) == 2
+        assert ensemble_predict_batch(E, [[0.0]])[0] == 2
 
     def test_equal_vote_tie_takes_lowest_class(self):
         E = PartitionEnsemble([(1.0, constant(1)), (1.0, constant(0))], 0.5, 0, K=2)
-        assert ensemble_predict(E, [0.0]) == 0
+        assert ensemble_predict_batch(E, [[0.0]])[0] == 0
 
     def test_weighted_tie(self):
         members = [(2.0, constant(0)), (1.0, constant(1)), (1.0, constant(1))]
         E = PartitionEnsemble(members, 0.5, 0, K=2)
-        assert ensemble_predict(E, [0.0]) == 0
+        assert ensemble_predict_batch(E, [[0.0]])[0] == 0
 
     def test_alpha_scale_invariance(self):
         rng = np.random.default_rng(9)
@@ -263,19 +256,19 @@ def make_global(betas_and_classes, K=3):
 class TestGlobalPredict:
     def test_unanimous(self):
         G = make_global([(0.2, 1), (0.9, 1), (0.5, 1)])
-        assert global_predict(G, [0.0]) == 1
+        assert global_predict_batch(G, [[0.0]])[0] == 1
 
     def test_higher_beta_wins(self):
         G = make_global([(0.9, 0), (0.8, 1)])
-        assert global_predict(G, [0.0]) == 0
+        assert global_predict_batch(G, [[0.0]])[0] == 0
 
     def test_equal_betas_reduce_to_majority(self):
         G = make_global([(0.7, 2), (0.7, 1), (0.7, 2)])
-        assert global_predict(G, [0.0]) == 2
+        assert global_predict_batch(G, [[0.0]])[0] == 2
 
     def test_beta_scale_invariance(self):
         G = make_global([(0.9, 0), (0.4, 1), (0.6, 1)])
-        base = global_predict(G, [0.0])
+        base = global_predict_batch(G, [[0.0]])[0]
         for c in (0.01, 3.0):
             scaled = GlobalModel(
                 [
@@ -287,11 +280,11 @@ class TestGlobalPredict:
             )
             # rescaling all betas by the same factor cannot change the argmax
             if c < 1:
-                assert global_predict(scaled, [0.0]) == base
+                assert global_predict_batch(scaled, [[0.0]])[0] == base
 
     def test_zero_beta_contributes_nothing(self):
         G = make_global([(0.0, 0), (0.3, 1)])
-        assert global_predict(G, [0.0]) == 1
+        assert global_predict_batch(G, [[0.0]])[0] == 1
         assert len(G.ensembles) == 2
 
     def test_class_count_mismatch_rejected(self):

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from noisegate import pipeline
+from noisegate import ensemble, pipeline
 from noisegate.data import Dataset, Partition, dump_libsvm, parse_libsvm
 from noisegate.data import partition as make_partitions
 from noisegate.ensemble import (
@@ -13,6 +13,7 @@ from noisegate.ensemble import (
     LearnerConfig,
     adaboost_train,
     compute_beta,
+    ensemble_predict_batch,
     global_predict_batch,
     load_model,
 )
@@ -301,6 +302,45 @@ class TestRunTraining:
         with pytest.raises(ValueError):
             run_training(small_cfg)
 
+    def test_unknown_kernel_kind_rejected(self, small_cfg):
+        small_cfg.kernel_kind = "poly"
+        with pytest.raises(ValueError, match="kernel"):
+            run_training(small_cfg)
+
+    @pytest.mark.parametrize("beta_mode", ["holdout", "train"])
+    def test_beta_measured_once_per_partition(self, small_cfg, monkeypatch, beta_mode):
+        calls = []
+
+        def counted(E, X, y):
+            calls.append(E.partition_id)
+            return compute_beta(E, X, y)
+
+        def unexpected(*args):
+            raise AssertionError("adaboost_train measured beta")
+
+        monkeypatch.setattr(pipeline, "compute_beta", counted)
+        monkeypatch.setattr(ensemble, "compute_beta", unexpected)
+        small_cfg.beta_mode = beta_mode
+        run_training(small_cfg)
+        assert sorted(calls) == sorted(list(range(4)) * 2)
+
+    def test_train_mode_beta_is_boosted_row_accuracy(self, small_cfg, monkeypatch):
+        boosted = []
+
+        def recording(X, y, *args, **kwargs):
+            E = adaboost_train(X, y, *args, **kwargs)
+            boosted.append((E, X, y))
+            return E
+
+        monkeypatch.setattr(pipeline, "adaboost_train", recording)
+        small_cfg.beta_mode = "train"
+        small_cfg.repetitions = 1
+        _, report = run_training(small_cfg)
+        assert len(boosted) == 4
+        for (E, X, y), summary in zip(boosted, report.repetitions[0].partitions):
+            assert E.beta == (ensemble_predict_batch(E, X) == y).mean()
+            assert summary.beta == E.beta
+
 
 class TestEvaluate:
     def test_clean_holdout_accuracy(self, small_cfg):
@@ -384,6 +424,11 @@ class TestGiniScan:
         agg_lines = open(out["aggregate_csv"]).read().strip().split("\n")
         assert agg_lines[0] == "p,gini_clean,gini_noisy,ratio,gini_full"
         assert len(agg_lines) == 20  # header + 19 grid points
+
+    def test_unknown_kernel_kind_rejected(self, tmp_path):
+        path = write_dataset(tmp_path / "d.svm", ring_noise_dataset(40, 0.1, seed=3))
+        with pytest.raises(ValueError, match="kernel"):
+            gini_scan(path, str(tmp_path / "scan"), kernel_kind="poly", M=2)
 
     def test_single_class_gives_zero_clean_column(self, tmp_path):
         ds = ring_noise_dataset(60, 0.0, seed=1)
