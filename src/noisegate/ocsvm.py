@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_KINDS = ("rbf", "linear")
+KERNEL_KINDS = ("rbf", "linear")
 
 
 class ConvergenceWarning(UserWarning):
@@ -26,7 +26,7 @@ class KernelSpec:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
             if self.gamma is None or self.gamma <= 0:

@@ -47,7 +47,7 @@ from .noise_filter import (
     scan_to_csv,
     split_by_score,
 )
-from .ocsvm import KernelSpec, default_kernel
+from .ocsvm import KERNEL_KINDS, KernelSpec, default_kernel
 
 logger = logging.getLogger("noisegate")
 
@@ -106,7 +106,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.fmt not in ("libsvm", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.kernel_kind not in ("rbf", "linear"):
+        if self.kernel_kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kernel_kind!r}")
         if self.partitions < 1:
             raise ValueError("partition count must be >= 1")

@@ -304,6 +304,9 @@ class TestModelSerialization:
                            seed=s, partition_id=s)
             for s in range(3)
         ]
+        # nonzero betas, so the round-trip predictions depend on every member
+        for E in ensembles:
+            compute_beta(E, X, y)
         spec = ScalingSpec(np.zeros(3), np.ones(3))
         return GlobalModel(ensembles, ["a", "b", "c"], spec,
                            {"seed": 0, "rounds": 6}, n_features=3)
@@ -314,6 +317,7 @@ class TestModelSerialization:
         save_model(G, path)
         back = load_model(path)
         probes = np.random.default_rng(1).normal(size=(1000, 3))
+        assert len(set(global_predict_batch(G, probes).tolist())) > 1
         assert np.array_equal(global_predict_batch(G, probes),
                               global_predict_batch(back, probes))
         assert back.provenance == G.provenance
@@ -338,6 +342,8 @@ class TestModelSerialization:
                            seed=s, partition_id=s)
             for s in range(2)
         ]
+        for E in ensembles:
+            compute_beta(E, X, y)
         return GlobalModel(ensembles, ["a", "b"], None, {}, n_features=2)
 
     @staticmethod
