@@ -14,8 +14,18 @@ import os
 import sys
 
 from .data import ParseError
-from .ensemble import DegenerateEnsembleError, LearnerConfig
-from .pipeline import PartitionError, RunConfig, evaluate, gini_scan, predict_labels, run_training
+from .ensemble import LEARNER_KINDS, DegenerateEnsembleError, LearnerConfig
+from .ocsvm import KERNEL_KINDS
+from .pipeline import (
+    BETA_MODES,
+    FORMATS,
+    PartitionError,
+    RunConfig,
+    evaluate,
+    gini_scan,
+    predict_labels,
+    run_training,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,68 +41,70 @@ _LOG_LEVELS = {
 
 
 def _add_format_args(sp):
-    sp.add_argument("--format", choices=("libsvm", "csv"), default="libsvm",
-                    help="input file format")
-    sp.add_argument("--label-col", type=int, default=-1,
+    sp.add_argument("--format", dest="fmt", choices=FORMATS, help="input file format")
+    sp.add_argument("--label-col", dest="label_column", metavar="LABEL_COL", type=int,
                     help="label column for csv input (0-based, -1 = last)")
 
 
 def _add_filter_args(sp):
-    sp.add_argument("--partitions", type=int, default=50, help="number of data partitions")
-    sp.add_argument("--nu", type=float, default=0.5,
-                    help="upper bound on the training outlier fraction")
-    sp.add_argument("--kernel", choices=("rbf", "linear"), default="rbf")
-    sp.add_argument("--gamma", type=float, default=None,
-                    help="rbf width (default: 1/num_features)")
-    sp.add_argument("--grid-step", type=float, default=0.05,
-                    help="spacing of the retained-fraction grid")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--no-scale", action="store_true",
+    sp.add_argument("--partitions", type=int, help="number of data partitions")
+    sp.add_argument("--nu", type=float, help="upper bound on the training outlier fraction")
+    sp.add_argument("--kernel", dest="kernel_kind", choices=KERNEL_KINDS)
+    sp.add_argument("--gamma", type=float, help="rbf width (default: 1/num_features)")
+    sp.add_argument("--grid-step", type=float, help="spacing of the retained-fraction grid")
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--no-scale", dest="scaling", action="store_false",
                     help="skip min-max feature scaling")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each setting flag stores into the RunConfig field it sets (its dest)
+    and has no default of its own: a flag left unset is absent from the
+    namespace, so the field keeps its dataclass default."""
     parser = argparse.ArgumentParser(
         prog="noisegate",
         description="Partitioned ensemble classification with one-class SVM noise filtering",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="train a partitioned ensemble model")
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+
+    train = command("train", "train a partitioned ensemble model")
     train.add_argument("--train", required=True, dest="train_path", help="training data file")
-    train.add_argument("--test", dest="test_path", default=None,
+    train.add_argument("--test", dest="test_path",
                        help="optional test data file for the accuracy report")
     _add_format_args(train)
     _add_filter_args(train)
-    train.add_argument("--learner", choices=("stump", "tree", "knn"), default="tree",
+    train.add_argument("--learner", choices=LEARNER_KINDS,
                        help="weak learner boosted on each partition")
-    train.add_argument("--rounds", type=int, default=50, help="boosting rounds per partition")
-    train.add_argument("--no-filter", action="store_true",
+    train.add_argument("--rounds", type=int, help="boosting rounds per partition")
+    train.add_argument("--no-filter", dest="filtering", action="store_false",
                        help="skip the noise filtering stage")
-    train.add_argument("--beta-mode", choices=("holdout", "train"), default="holdout",
+    train.add_argument("--beta-mode", choices=BETA_MODES,
                        help="how each partition's vote weight is measured")
-    train.add_argument("--reps", type=int, default=50,
+    train.add_argument("--reps", dest="repetitions", metavar="REPS", type=int,
                        help="repetitions with re-randomized partitions")
-    train.add_argument("--jobs", type=int, default=None,
+    train.add_argument("--jobs", type=int,
                        help="partition-stage worker threads (default: all cores)")
     train.add_argument("--out", required=True, dest="output_dir",
                        help="directory for model.json, report.json, timings.json")
 
-    ev = sub.add_parser("evaluate", help="score a saved model on a test file")
+    ev = command("evaluate", "score a saved model on a test file")
     ev.add_argument("--model", required=True, help="model.json produced by train")
     ev.add_argument("--test", required=True, dest="test_path")
     _add_format_args(ev)
     ev.add_argument("--out", default=None, dest="output_dir",
                     help="directory for evaluation.json (default: print to stdout)")
 
-    gs = sub.add_parser("gini-scan", help="impurity-ratio scan over retained fractions")
+    gs = command("gini-scan", "impurity-ratio scan over retained fractions")
     gs.add_argument("--train", required=True, dest="train_path")
     _add_format_args(gs)
     _add_filter_args(gs)
     gs.add_argument("--out", required=True, dest="output_dir",
                     help="directory for per-partition and aggregate CSV files")
 
-    pr = sub.add_parser("predict", help="print predicted labels for a data file")
+    pr = command("predict", "print predicted labels for a data file")
     pr.add_argument("--model", required=True)
     pr.add_argument("--data", required=True, dest="data_path")
     _add_format_args(pr)
@@ -108,27 +120,16 @@ def cli_parse(argv) -> argparse.Namespace:
 
 
 def build_config(ns: argparse.Namespace) -> RunConfig:
-    learner = LearnerConfig(kind=ns.learner)
-    return RunConfig(
-        train_path=ns.train_path,
-        output_dir=ns.output_dir,
-        test_path=ns.test_path,
-        fmt=ns.format,
-        label_column=ns.label_col,
-        partitions=ns.partitions,
-        nu=ns.nu,
-        kernel_kind=ns.kernel,
-        gamma=ns.gamma,
-        grid_step=ns.grid_step,
-        learner=learner,
-        rounds=ns.rounds,
-        seed=ns.seed,
-        filtering=not ns.no_filter,
-        beta_mode=ns.beta_mode,
-        scaling=not ns.no_scale,
-        repetitions=ns.reps,
-        jobs=ns.jobs,
-    )
+    """The RunConfig of a parsed train or gini-scan command."""
+    settings = {k: v for k, v in vars(ns).items() if k != "command"}
+    if "learner" in settings:
+        settings["learner"] = LearnerConfig(kind=settings["learner"])
+    return RunConfig(**settings)
+
+
+def _format_flags(ns: argparse.Namespace) -> dict:
+    """The format flags given to evaluate or predict."""
+    return {k: v for k, v in vars(ns).items() if k in ("fmt", "label_column")}
 
 
 def _configure_logging() -> None:
@@ -146,7 +147,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         print(f"wrote {os.path.join(ns.output_dir, 'model.json')} and report.json")
         return EXIT_OK
     if ns.command == "evaluate":
-        result = evaluate(ns.model, ns.test_path, ns.format, ns.label_col)
+        result = evaluate(ns.model, ns.test_path, **_format_flags(ns))
         text = json.dumps(result, indent=1) + "\n"
         if ns.output_dir:
             os.makedirs(ns.output_dir, exist_ok=True)
@@ -158,19 +159,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
             sys.stdout.write(text)
         return EXIT_OK
     if ns.command == "gini-scan":
-        result = gini_scan(
-            ns.train_path,
-            ns.output_dir,
-            fmt=ns.format,
-            label_column=ns.label_col,
-            nu=ns.nu,
-            kernel_kind=ns.kernel,
-            gamma=ns.gamma,
-            grid_step=ns.grid_step,
-            M=ns.partitions,
-            seed=ns.seed,
-            scaling=not ns.no_scale,
-        )
+        result = gini_scan(build_config(ns))
         best_ps = result["best_p_per_partition"]
         for pid, best_p in enumerate(best_ps):
             print(f"partition {pid}: best retained fraction p={best_p:g} "
@@ -179,7 +168,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
               f"p={result['modal_best_p']:g}")
         return EXIT_OK
     if ns.command == "predict":
-        labels = predict_labels(ns.model, ns.data_path, ns.format, ns.label_col)
+        labels = predict_labels(ns.model, ns.data_path, **_format_flags(ns))
         text = "\n".join(labels) + "\n"
         if ns.output_path:
             with open(ns.output_path, "w") as fh:

@@ -29,6 +29,8 @@ MODEL_FORMAT = "noisegate-model"
 # only its weights; version-1 files, with refs/labels/k in every member, load.
 MODEL_VERSION = 2
 
+LEARNER_KINDS = ("stump", "tree", "knn")
+
 _ALPHA_CAP = math.log(1e10)
 _EPS_FLOOR = 1e-10
 
@@ -45,16 +47,8 @@ class LearnerConfig:
     knn_k: int = 5
 
     def __post_init__(self):
-        if self.kind not in ("stump", "tree", "knn"):
+        if self.kind not in LEARNER_KINDS:
             raise ValueError(f"unknown learner kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "max_depth": self.max_depth,
-            "k_candidates": self.k_candidates,
-            "knn_k": self.knn_k,
-        }
 
 
 @dataclass

@@ -145,6 +145,8 @@ def default_grid(step: float = 0.05) -> list[float]:
     if not 0.0 < step < 1.0:
         raise ValueError("grid step must be in (0, 1)")
     count = int(math.ceil((1.0 - 1e-9) / step)) - 1
+    if count < 1:
+        raise ValueError(f"grid step {step} leaves no percentage inside (0, 1)")
     return [round(step * i, 10) for i in range(1, count + 1)]
 
 

@@ -7,6 +7,7 @@ sum_i a_i k(x_i, x) - rho; negative scores mark anomalies.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -29,10 +30,15 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError("rbf kernel requires gamma > 0")
+            if self.gamma is None or not 0.0 < self.gamma < math.inf:
+                raise ValueError("rbf kernel requires a finite gamma > 0")
         elif self.gamma is not None:
             raise ValueError("gamma is only meaningful for the rbf kernel")
+
+
+def check_nu(nu: float) -> None:
+    if not 0.0 < nu <= 1.0:
+        raise ValueError(f"nu must be in (0, 1], got {nu}")
 
 
 def default_kernel(d: int) -> KernelSpec:
@@ -139,8 +145,7 @@ def train_ocsvm(
     n, d = X.shape
     if n < 2:
         raise ValueError("training requires at least 2 rows")
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"nu must be in (0, 1], got {nu}")
+    check_nu(nu)
     if tol <= 0:
         raise ValueError("tol must be positive")
     if kernel is None:

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .noise_filter import (
     scan_to_csv,
     split_by_score,
 )
-from .ocsvm import KERNEL_KINDS, KernelSpec, default_kernel
+from .ocsvm import KernelSpec, check_nu, default_kernel
 
 logger = logging.getLogger("noisegate")
 
@@ -57,6 +57,9 @@ _STREAM_BOOST = 2
 _STREAM_HOLDOUT = 3
 
 _BETA_HOLDOUT_FRACTION = 0.2
+
+FORMATS = ("libsvm", "csv")
+BETA_MODES = ("holdout", "train")
 
 
 class PartitionError(RuntimeError):
@@ -104,18 +107,28 @@ class RunConfig:
     jobs: int | None = None
 
     def validate(self) -> None:
-        if self.fmt not in ("libsvm", "csv"):
+        """Reject a bad setting before any file is read."""
+        if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.kernel_kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kernel_kind!r}")
+        check_nu(self.nu)
+        # the kernel and grid constructors hold the rules for kind, gamma and step
+        self.kernel(1)
+        default_grid(self.grid_step)
         if self.partitions < 1:
             raise ValueError("partition count must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.beta_mode not in ("holdout", "train"):
+        if self.beta_mode not in BETA_MODES:
             raise ValueError(f"unknown beta mode {self.beta_mode!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+
+    def kernel(self, d: int) -> KernelSpec:
+        """The filter kernel for d features: an rbf kernel without a gamma
+        gets 1/d."""
+        if self.kernel_kind == "rbf" and self.gamma is None:
+            return default_kernel(d)
+        return KernelSpec(self.kernel_kind, self.gamma)
 
     def snapshot(self) -> dict:
         return {
@@ -128,7 +141,7 @@ class RunConfig:
             "kernel": self.kernel_kind,
             "gamma": self.gamma,
             "grid_step": self.grid_step,
-            "learner": self.learner.to_dict(),
+            "learner": asdict(self.learner),
             "rounds": self.rounds,
             "seed": self.seed,
             "filtering": self.filtering,
@@ -150,19 +163,6 @@ class PartitionSummary:
     ratio: float | None
     beta: float
 
-    def to_dict(self) -> dict:
-        return {
-            "partition_id": self.partition_id,
-            "size": self.size,
-            "retained": self.retained,
-            "removed": self.removed,
-            "chosen_p": self.chosen_p,
-            "gini_clean": self.gini_clean,
-            "gini_noisy": self.gini_noisy,
-            "ratio": self.ratio,
-            "beta": self.beta,
-        }
-
 
 @dataclass
 class RepetitionResult:
@@ -170,14 +170,6 @@ class RepetitionResult:
     seed: int
     accuracy: float | None
     partitions: list[PartitionSummary]
-
-    def to_dict(self) -> dict:
-        return {
-            "repetition": self.repetition,
-            "seed": self.seed,
-            "accuracy": self.accuracy,
-            "partitions": [p.to_dict() for p in self.partitions],
-        }
 
 
 @dataclass
@@ -198,7 +190,7 @@ class EvalReport:
             "config": self.config,
             "dataset": self.dataset,
             "label_names": self.label_names,
-            "repetitions": [r.to_dict() for r in self.repetitions],
+            "repetitions": [asdict(r) for r in self.repetitions],
             "mean_accuracy": self.mean_accuracy,
             "std_accuracy": self.std_accuracy,
             "confusion_matrix": None if self.confusion is None else self.confusion.tolist(),
@@ -215,12 +207,6 @@ def _parse(text: str, fmt: str, label_column: int) -> Dataset:
     if fmt == "csv":
         return parse_csv(text, label_column)
     return parse_libsvm(text)
-
-
-def _resolve_kernel(cfg_kind: str, gamma: float | None, d: int) -> KernelSpec:
-    if cfg_kind == "rbf" and gamma is None:
-        return default_kernel(d)
-    return KernelSpec(cfg_kind, gamma if cfg_kind == "rbf" else None)
 
 
 def _prepare_eval_features(model: GlobalModel, test: Dataset) -> np.ndarray:
@@ -289,7 +275,8 @@ def _boostable_split(part, fr: FilterResult, labels, beta_mode: str, holdout_see
     return fr.clean_indices, fr.chosen_point
 
 
-def _partition_stage(pid, part, data, cfg, kernel, grid, rep_seed):
+def _partition_stage(part, data, cfg, kernel, grid, rep_seed):
+    pid = part.partition_id
     try:
         holdout_seed = derive_seed(rep_seed, _STREAM_HOLDOUT, pid)
         if cfg.filtering:
@@ -340,14 +327,10 @@ def _partition_stage(pid, part, data, cfg, kernel, grid, rep_seed):
 def _run_partition_stages(parts, data, cfg, kernel, grid, rep_seed):
     jobs = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)
     if jobs <= 1 or len(parts) == 1:
-        return [
-            _partition_stage(p.partition_id, p, data, cfg, kernel, grid, rep_seed)
-            for p in parts
-        ]
+        return [_partition_stage(p, data, cfg, kernel, grid, rep_seed) for p in parts]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [
-            pool.submit(_partition_stage, p.partition_id, p, data, cfg, kernel, grid, rep_seed)
-            for p in parts
+            pool.submit(_partition_stage, p, data, cfg, kernel, grid, rep_seed) for p in parts
         ]
         return [f.result() for f in futures]
 
@@ -379,7 +362,7 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
         working, scaling_spec = min_max_scale(train)
     timings["scale"] = time.perf_counter() - t0
 
-    kernel = _resolve_kernel(cfg.kernel_kind, cfg.gamma, train.d)
+    kernel = cfg.kernel(train.d)
     grid = default_grid(cfg.grid_step)
     snapshot = cfg.snapshot()
 
@@ -468,52 +451,43 @@ def predict_labels(model_path, data_path, fmt: str = "libsvm", label_column: int
     return [model.label_names[p] for p in global_predict_batch(model, features)]
 
 
-def gini_scan(
-    train_path,
-    output_dir,
-    fmt: str = "libsvm",
-    label_column: int = -1,
-    nu: float = 0.5,
-    kernel_kind: str = "rbf",
-    gamma: float | None = None,
-    grid_step: float = 0.05,
-    M: int = 50,
-    seed: int = 0,
-    scaling: bool = True,
-) -> dict:
+def gini_scan(cfg: RunConfig) -> dict:
     """Write per-partition impurity scans plus a cross-partition aggregate.
 
-    A partition's best retained fraction is the best-ranked cut whose clean
-    side holds two classes, as ``train --beta-mode train`` picks it. Returns a
-    summary with each partition's best fraction (in partition-id order), the
-    modal best across partitions and the file paths; nothing is printed.
+    Reads the input and filter settings of ``cfg`` as ``run_training`` does;
+    the boosting settings play no part. A partition's best retained fraction
+    is the best-ranked cut whose clean side holds two classes, as ``train
+    --beta-mode train`` picks it. Returns a summary with each partition's best
+    fraction (in partition-id order), the modal best across partitions and the
+    file paths; nothing is printed.
     """
-    train = _parse(_read_text(train_path), fmt, label_column)
-    working = min_max_scale(train)[0] if scaling else train
-    kernel = _resolve_kernel(kernel_kind, gamma, train.d)
-    grid = default_grid(grid_step)
-    parts = make_partitions(working, M, derive_seed(seed, _STREAM_PARTITION))
+    cfg.validate()
+    train = _parse(_read_text(cfg.train_path), cfg.fmt, cfg.label_column)
+    working = min_max_scale(train)[0] if cfg.scaling else train
+    kernel = cfg.kernel(train.d)
+    grid = default_grid(cfg.grid_step)
+    parts = make_partitions(working, cfg.partitions, derive_seed(cfg.seed, _STREAM_PARTITION))
 
-    os.makedirs(output_dir, exist_ok=True)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     best_ps = []
     scans = []
     full_ginis = []
     paths = []
     for part in parts:
         try:
-            fr = filter_partition(part, working, nu=nu, kernel=kernel, grid=grid)
+            fr = filter_partition(part, working, nu=cfg.nu, kernel=kernel, grid=grid)
         except Exception as exc:
             raise PartitionError(part.partition_id, exc) from exc
         best_p = _boostable_split(part, fr, working.labels, "train", 0)[1].p
         best_ps.append(best_p)
         scans.append(fr.scan)
         full_ginis.append(gini_impurity(working.labels[part.indices]))
-        path = os.path.join(output_dir, f"gini_partition_{part.partition_id:03d}.csv")
+        path = os.path.join(cfg.output_dir, f"gini_partition_{part.partition_id:03d}.csv")
         with open(path, "w") as fh:
             fh.write(scan_to_csv(fr.scan))
         paths.append(path)
 
-    agg_path = os.path.join(output_dir, "gini_aggregate.csv")
+    agg_path = os.path.join(cfg.output_dir, "gini_aggregate.csv")
     mean_full = float(np.mean(full_ginis))
     with open(agg_path, "w") as fh:
         fh.write("p,gini_clean,gini_noisy,ratio,gini_full\n")

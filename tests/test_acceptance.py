@@ -224,7 +224,7 @@ def test_criterion_9_optional_shuttle_reference(tmp_path):
     candidates = [c for c in candidates if os.path.isfile(c) and not c.endswith(".t")]
     if not candidates:
         pytest.skip("user-supplied shuttle data not present under datasets/")
-    out = gini_scan(candidates[0], str(tmp_path / "scan"), M=50, seed=0)
+    out = gini_scan(RunConfig(candidates[0], str(tmp_path / "scan"), partitions=50, seed=0))
     reference = 0.30
     print(f"\n[C9] shuttle reference comparison: our modal best retained fraction = "
           f"{out['modal_best_p']:g}; published reference = {reference:g} "

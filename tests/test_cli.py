@@ -6,8 +6,8 @@ import pytest
 
 from noisegate import cli
 from noisegate.cli import build_config, cli_parse, main
-from noisegate.ensemble import DegenerateEnsembleError
-from noisegate.pipeline import PartitionError, gini_scan
+from noisegate.ensemble import DegenerateEnsembleError, LearnerConfig
+from noisegate.pipeline import PartitionError, RunConfig, gini_scan
 from noisegate.data import dump_libsvm
 from noisegate.noise_filter import default_grid
 from noisegate.synthetic import striped_ring_dataset
@@ -45,6 +45,26 @@ class TestParsing:
         assert cfg.filtering and cfg.scaling
         assert cfg.beta_mode == "holdout"
         assert cfg.learner.kind == "tree"
+
+    @pytest.mark.parametrize("command", ["train", "gini-scan"])
+    def test_unset_flags_keep_the_dataclass_defaults(self, command):
+        ns = cli_parse([command, "--train", "a.svm", "--out", "d/"])
+        assert build_config(ns) == RunConfig("a.svm", "d/")
+
+    def test_every_flag_sets_its_field(self):
+        ns = cli_parse([
+            "train", "--train", "a.csv", "--test", "b.csv", "--out", "d/",
+            "--format", "csv", "--label-col", "0", "--partitions", "7", "--nu", "0.25",
+            "--kernel", "rbf", "--gamma", "0.75", "--grid-step", "0.1", "--seed", "9",
+            "--no-scale", "--learner", "knn", "--rounds", "11", "--no-filter",
+            "--beta-mode", "train", "--reps", "3", "--jobs", "2",
+        ])
+        assert build_config(ns) == RunConfig(
+            "a.csv", "d/", test_path="b.csv", fmt="csv", label_column=0, partitions=7,
+            nu=0.25, kernel_kind="rbf", gamma=0.75, grid_step=0.1, seed=9, scaling=False,
+            learner=LearnerConfig("knn"), rounds=11, filtering=False, beta_mode="train",
+            repetitions=3, jobs=2,
+        )
 
     def test_missing_required_flag_names_it(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -98,6 +118,26 @@ class TestCommands:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 100
 
+    def test_format_flags_reach_evaluate_and_predict(self, data_files, tmp_path, capsys):
+        tp, sp = data_files
+        out = str(tmp_path / "run")
+        main(train_args(tp, sp, out))
+        test = striped_ring_dataset(100, noise_fraction=0.0, seed=2)
+        csv_path = tmp_path / "test.csv"
+        csv_path.write_text("".join(
+            f"{test.label_names[y]}," + ",".join(repr(float(v)) for v in row) + "\n"
+            for row, y in zip(test.features, test.labels)
+        ))
+        model = os.path.join(out, "model.json")
+        capsys.readouterr()
+        runs = {}
+        for name, path, flags in [("libsvm", sp, []),
+                                  ("csv", str(csv_path), ["--format", "csv", "--label-col", "0"])]:
+            assert main(["evaluate", "--model", model, "--test", path] + flags) == 0
+            assert main(["predict", "--model", model, "--data", path] + flags) == 0
+            runs[name] = capsys.readouterr().out
+        assert runs["csv"] == runs["libsvm"]
+
     def test_predict_to_file(self, data_files, tmp_path, capsys):
         tp, sp = data_files
         out = str(tmp_path / "run")
@@ -119,7 +159,7 @@ class TestCommands:
     def test_gini_scan_prints_each_partition_and_the_mode(self, data_files, tmp_path, capsys):
         tp, _ = data_files
         out = str(tmp_path / "scan")
-        summary = gini_scan(tp, out, grid_step=0.4, M=3, seed=5)
+        summary = gini_scan(RunConfig(tp, out, grid_step=0.4, partitions=3, seed=5))
         assert capsys.readouterr().out == ""
         assert main(["gini-scan", "--train", tp, "--out", out,
                      "--partitions", "3", "--grid-step", "0.4", "--seed", "5"]) == 0
@@ -137,6 +177,21 @@ class TestCommands:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--nu", "0"], "nu must be in (0, 1], got 0.0"),
+        (["--kernel", "linear", "--gamma", "0.5"],
+         "gamma is only meaningful for the rbf kernel"),
+    ], ids=["nu=0", "linear-with-gamma"])
+    @pytest.mark.parametrize("command", ["train", "gini-scan"])
+    def test_bad_filter_setting_is_data_error(self, data_files, tmp_path, capsys, command,
+                                              flags, message):
+        out = str(tmp_path / "o")
+        code = main([command, "--train", data_files[0], "--out", out,
+                     "--partitions", "2", "--grid-step", "0.4"] + flags)
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(out)
 
     def test_malformed_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.svm"

@@ -45,6 +45,21 @@ def write_dataset(path, ds):
     return str(path)
 
 
+# filter settings RunConfig.validate rejects, with the error they raise
+BAD_FILTER_SETTINGS = {
+    "nu=0": ({"nu": 0.0}, "nu must be in"),
+    "nu=1.5": ({"nu": 1.5}, "nu must be in"),
+    "nu=nan": ({"nu": float("nan")}, "nu must be in"),
+    "gamma=0": ({"gamma": 0.0}, "gamma > 0"),
+    "gamma=nan": ({"gamma": float("nan")}, "gamma > 0"),
+    "gamma=inf": ({"gamma": float("inf")}, "gamma > 0"),
+    "linear-with-gamma": ({"kernel_kind": "linear", "gamma": 0.5}, "only meaningful"),
+    "grid_step=0": ({"grid_step": 0.0}, "grid step"),
+    "grid_step=1": ({"grid_step": 1.0}, "grid step"),
+    "grid_step=1-1e-10": ({"grid_step": 1 - 1e-10}, "grid step"),
+}
+
+
 @pytest.fixture
 def small_cfg(tmp_path):
     train = striped_ring_dataset(240, noise_fraction=0.15, seed=1)
@@ -241,11 +256,15 @@ class TestRunTraining:
         assert open(os.path.join(small_cfg.output_dir, "model.json"), "rb").read() == first_model
 
     def test_jobs_parallel_matches_serial(self, small_cfg, tmp_path):
+        serial_dir = small_cfg.output_dir
         _, serial = run_training(small_cfg)
         small_cfg.output_dir = str(tmp_path / "out_par")
         small_cfg.jobs = 4
         _, parallel = run_training(small_cfg)
         assert serial.to_dict() == parallel.to_dict()
+        model_bytes = [open(os.path.join(d, "model.json"), "rb").read()
+                       for d in (serial_dir, small_cfg.output_dir)]
+        assert model_bytes[0] == model_bytes[1]
 
     def test_unreadable_file_fails_before_compute(self, small_cfg):
         small_cfg.train_path = "/nonexistent/never.svm"
@@ -306,6 +325,15 @@ class TestRunTraining:
         small_cfg.kernel_kind = "poly"
         with pytest.raises(ValueError, match="kernel"):
             run_training(small_cfg)
+
+    @pytest.mark.parametrize("settings, message", BAD_FILTER_SETTINGS.values(),
+                             ids=BAD_FILTER_SETTINGS.keys())
+    @pytest.mark.parametrize("run", [run_training, gini_scan], ids=["train", "gini_scan"])
+    def test_bad_filter_setting_rejected_before_reading(self, tmp_path, run, settings, message):
+        cfg = RunConfig("/nonexistent/never.svm", str(tmp_path / "out"), **settings)
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
+        assert not os.path.exists(cfg.output_dir)
 
     @pytest.mark.parametrize("beta_mode", ["holdout", "train"])
     def test_beta_measured_once_per_partition(self, small_cfg, monkeypatch, beta_mode):
@@ -415,8 +443,8 @@ class TestGiniScan:
     def test_writes_per_partition_and_aggregate(self, tmp_path):
         ds = ring_noise_dataset(100, 0.1, seed=3)
         path = write_dataset(tmp_path / "d.svm", ds)
-        out = gini_scan(path, str(tmp_path / "scan"), nu=0.5, gamma=0.5, M=2, seed=0,
-                        scaling=False)
+        out = gini_scan(RunConfig(path, str(tmp_path / "scan"), nu=0.5, gamma=0.5,
+                                  partitions=2, seed=0, scaling=False))
         assert len(out["partition_csvs"]) == 2
         for p in out["partition_csvs"]:
             header = open(p).readline().strip()
@@ -428,26 +456,28 @@ class TestGiniScan:
     def test_unknown_kernel_kind_rejected(self, tmp_path):
         path = write_dataset(tmp_path / "d.svm", ring_noise_dataset(40, 0.1, seed=3))
         with pytest.raises(ValueError, match="kernel"):
-            gini_scan(path, str(tmp_path / "scan"), kernel_kind="poly", M=2)
+            gini_scan(RunConfig(path, str(tmp_path / "scan"), kernel_kind="poly", partitions=2))
 
     def test_single_class_gives_zero_clean_column(self, tmp_path):
         ds = ring_noise_dataset(60, 0.0, seed=1)
         path = write_dataset(tmp_path / "one.svm", ds)
-        out = gini_scan(path, str(tmp_path / "scan"), M=2, seed=0, scaling=False)
+        out = gini_scan(RunConfig(path, str(tmp_path / "scan"), partitions=2, seed=0,
+                                  scaling=False))
         for line in open(out["aggregate_csv"]).read().strip().split("\n")[1:]:
             assert float(line.split(",")[1]) == 0.0
 
     def test_uniform_26_class_full_impurity(self, tmp_path):
         ds = uniform_multiclass_dataset(n_per_class=8, n_classes=26, seed=0)
         path = write_dataset(tmp_path / "m.svm", ds)
-        out = gini_scan(path, str(tmp_path / "scan"), M=1, seed=0, scaling=False)
+        out = gini_scan(RunConfig(path, str(tmp_path / "scan"), partitions=1, seed=0,
+                                  scaling=False))
         assert out["mean_full_gini"] == pytest.approx(1 - 1 / 26, abs=1e-9)
 
     def test_planted_outlier_ratio_dips_at_inlier_rate(self, tmp_path):
         ds = ring_noise_dataset(200, 0.1, seed=5)
         path = write_dataset(tmp_path / "r.svm", ds)
-        out = gini_scan(path, str(tmp_path / "scan"), nu=0.5, gamma=0.5, M=1, seed=0,
-                        scaling=False)
+        out = gini_scan(RunConfig(path, str(tmp_path / "scan"), nu=0.5, gamma=0.5,
+                                  partitions=1, seed=0, scaling=False))
         # the single dominant class keeps the clean side pure at many cuts,
         # so honor the scan's own tie rule rather than a naive argmin
         assert abs(out["modal_best_p"] - 0.9) <= 0.05 + 1e-9
@@ -455,15 +485,15 @@ class TestGiniScan:
     def test_prints_nothing(self, tmp_path, capsys):
         ds = ring_noise_dataset(100, 0.1, seed=3)
         path = write_dataset(tmp_path / "d.svm", ds)
-        gini_scan(path, str(tmp_path / "scan"), nu=0.5, gamma=0.5, M=2, seed=0,
-                  scaling=False)
+        gini_scan(RunConfig(path, str(tmp_path / "scan"), nu=0.5, gamma=0.5,
+                            partitions=2, seed=0, scaling=False))
         assert capsys.readouterr().out == ""
 
     def test_modal_best_p(self, tmp_path):
         ds = ring_noise_dataset(200, 0.1, seed=6)
         path = write_dataset(tmp_path / "r2.svm", ds)
-        out = gini_scan(path, str(tmp_path / "scan"), nu=0.5, gamma=0.5, M=2, seed=1,
-                        scaling=False)
+        out = gini_scan(RunConfig(path, str(tmp_path / "scan"), nu=0.5, gamma=0.5,
+                                  partitions=2, seed=1, scaling=False))
         assert out["modal_best_p"] in out["best_p_per_partition"]
 
 
