@@ -37,7 +37,6 @@ from .learners import (
     train_random_tree,
     train_stump,
     uniform_weights,
-    weighted_error,
 )
 from .noise_filter import (
     FilterResult,

@@ -25,8 +25,9 @@ class ParseError(ValueError):
 class Dataset:
     """Labeled feature matrix with an integer-encoded label vocabulary.
 
-    ``features`` is a dense (n, d) float64 array; rows are instances. ``labels``
-    holds class ids in [0, K) and ``label_names[id]`` is the original token.
+    ``features`` is a dense (n, d) float64 array, row- or column-major; rows
+    are instances. ``labels`` holds class ids in [0, K) and
+    ``label_names[id]`` is the original token.
     Instances are immutable after construction and safe to share across
     threads.
     """
@@ -258,13 +259,15 @@ def min_max_scale(train: Dataset) -> tuple[Dataset, ScalingSpec]:
 def apply_scale(spec: ScalingSpec, data: Dataset) -> Dataset:
     """Map features through the fitted (min, max) ranges, clamping to [0,1].
 
-    Columns that were constant at fit time map to 0.
+    Columns that were constant at fit time map to 0. The one output array is
+    column-major, so a predict reads each feature as a contiguous column;
+    ``rows`` still copies out C-contiguous rows.
     """
     if data.d != spec.mins.shape[0]:
         raise ValueError(f"dataset has {data.d} columns, scaling spec has {spec.mins.shape[0]}")
     span = spec.maxs - spec.mins
     nonconst = span > 0
-    scaled = data.features - spec.mins
+    scaled = np.subtract(data.features, spec.mins, order="F")
     np.divide(scaled, span, out=scaled, where=nonconst)
     scaled[:, ~nonconst] = 0.0
     np.clip(scaled, 0.0, 1.0, out=scaled)

@@ -171,15 +171,27 @@ def adaboost_train(
     return PartitionEnsemble(members, beta=0.0, partition_id=partition_id, K=K, trace=trace)
 
 
+def _add_votes(flat: np.ndarray, row_start: np.ndarray, weight: float, pred: np.ndarray) -> None:
+    """Add weight to each row's predicted class in ``flat``, a raveled (rows,
+    K) array, through the flat index ``row_start + pred``, built in ``pred``.
+
+    One add per row, so a sum over votes added in order has the bits of
+    ``scores[rows, pred] += weight``. The flat index costs less than a 2-D
+    index and does not grow with K, and ``np.add.at`` gathers no temporary.
+    """
+    pred += row_start
+    np.add.at(flat, pred, weight)
+
+
 def ensemble_scores(E: PartitionEnsemble, X) -> np.ndarray:
     """Summed vote weight per class, shape (rows, K)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    scores = np.zeros((X.shape[0], E.K))
-    rows = np.arange(X.shape[0])
+    scores = np.zeros(X.shape[0] * E.K)
+    row_start = np.arange(0, X.shape[0] * E.K, E.K)
     nearest: dict[KnnReference, np.ndarray] = {}
     for alpha, h in E.members:
-        scores[rows, _predict(h, X, nearest)] += alpha  # one entry per row
-    return scores
+        _add_votes(scores, row_start, alpha, _predict(h, X, nearest))
+    return scores.reshape(-1, E.K)
 
 
 def ensemble_predict_batch(E: PartitionEnsemble, X) -> np.ndarray:
@@ -221,11 +233,11 @@ def global_predict_batch(G: GlobalModel, X) -> np.ndarray:
     """Accuracy-weighted vote across partition ensembles; ties take the
     lowest class id."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    votes = np.zeros((X.shape[0], G.K))
-    rows = np.arange(X.shape[0])
+    votes = np.zeros(X.shape[0] * G.K)
+    row_start = np.arange(0, X.shape[0] * G.K, G.K)
     for E in G.ensembles:
-        votes[rows, ensemble_predict_batch(E, X)] += E.beta  # one entry per row
-    return np.argmax(votes, axis=1)
+        _add_votes(votes, row_start, E.beta, ensemble_predict_batch(E, X))
+    return np.argmax(votes.reshape(-1, G.K), axis=1)
 
 
 def model_to_dict(G: GlobalModel) -> dict:

@@ -312,7 +312,9 @@ class KnnReference:
         out = np.empty((X.shape[0], self.k), dtype=np.intp)
         step = max(1, _BLOCK_ELEMENTS // self.refs.shape[0])
         for lo in range(0, X.shape[0], step):
-            B = X[lo:lo + step]
+            # row-contiguous whatever X's layout: BLAS and einsum pick their
+            # kernels by layout, and a distance tie can hang on the last bit
+            B = np.ascontiguousarray(X[lo:lo + step])
             # |x|^2 - 2 x.r + |r|^2, evaluated in place in that order
             d2 = (2.0 * B) @ self.refs.T
             np.subtract(np.einsum("ij,ij->i", B, B)[:, None], d2, out=d2)

@@ -198,12 +198,13 @@ class EvalReport:
         }
 
 
-def _read_text(path) -> str:
+def _parse(path, fmt: str, label_column: int) -> Dataset:
+    """Read and parse the file at path; a format outside FORMATS is rejected
+    before the file is opened."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
     with open(path) as fh:
-        return fh.read()
-
-
-def _parse(text: str, fmt: str, label_column: int) -> Dataset:
+        text = fh.read()
     if fmt == "csv":
         return parse_csv(text, label_column)
     return parse_libsvm(text)
@@ -347,10 +348,8 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
     t_total = time.perf_counter()
 
     t0 = time.perf_counter()
-    train_text = _read_text(cfg.train_path)
-    test_text = _read_text(cfg.test_path) if cfg.test_path else None
-    train = _parse(train_text, cfg.fmt, cfg.label_column)
-    test = _parse(test_text, cfg.fmt, cfg.label_column) if test_text is not None else None
+    train = _parse(cfg.train_path, cfg.fmt, cfg.label_column)
+    test = _parse(cfg.test_path, cfg.fmt, cfg.label_column) if cfg.test_path else None
     timings["parse"] = time.perf_counter() - t0
     if train.K < 2:
         raise ValueError("training data has a single class")
@@ -432,7 +431,7 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
 def evaluate(model_path, test_path, fmt: str = "libsvm", label_column: int = -1) -> dict:
     """Score a saved model against a test file."""
     model = load_model(model_path)
-    test = _parse(_read_text(test_path), fmt, label_column)
+    test = _parse(test_path, fmt, label_column)
     accuracy, confusion, unseen = evaluate_model(model, test)
     return {
         "accuracy": accuracy,
@@ -446,7 +445,7 @@ def evaluate(model_path, test_path, fmt: str = "libsvm", label_column: int = -1)
 def predict_labels(model_path, data_path, fmt: str = "libsvm", label_column: int = -1) -> list[str]:
     """Predicted label tokens, one per input row."""
     model = load_model(model_path)
-    ds = _parse(_read_text(data_path), fmt, label_column)
+    ds = _parse(data_path, fmt, label_column)
     features = _prepare_eval_features(model, ds)
     return [model.label_names[p] for p in global_predict_batch(model, features)]
 
@@ -462,7 +461,7 @@ def gini_scan(cfg: RunConfig) -> dict:
     file paths; nothing is printed.
     """
     cfg.validate()
-    train = _parse(_read_text(cfg.train_path), cfg.fmt, cfg.label_column)
+    train = _parse(cfg.train_path, cfg.fmt, cfg.label_column)
     working = min_max_scale(train)[0] if cfg.scaling else train
     kernel = cfg.kernel(train.d)
     grid = default_grid(cfg.grid_step)

@@ -149,6 +149,28 @@ class TestScaling:
         out = apply_scale(spec, Dataset.from_arrays([[12.0], [-2.0]], [0, 0]))
         assert np.array_equal(out.features.ravel(), [1.0, 0.0])
 
+    def test_output_is_column_major_with_row_major_values(self):
+        rng = np.random.default_rng(12)
+        raw = rng.normal(size=(50, 6)) * 5
+        raw[:, 2] = 1.0
+        # a spec fitted on part of the rows, so the rest clamp
+        spec = ScalingSpec(raw[:30].min(axis=0), raw[:30].max(axis=0))
+        out = apply_scale(spec, Dataset.from_arrays(raw, np.zeros(50))).features
+        span = spec.maxs - spec.mins
+        expected = raw - spec.mins
+        np.divide(expected, span, out=expected, where=span > 0)
+        expected[:, span == 0] = 0.0
+        np.clip(expected, 0.0, 1.0, out=expected)
+        assert out.flags.f_contiguous and expected.flags.c_contiguous
+        assert np.array_equal(out, expected)
+
+    def test_rows_of_scaled_data_are_row_contiguous(self):
+        rng = np.random.default_rng(13)
+        scaled, _ = min_max_scale(Dataset.from_arrays(rng.normal(size=(40, 5)), np.zeros(40)))
+        picked = scaled.rows([7, 0, 31, 8])
+        assert picked.flags.c_contiguous
+        assert np.array_equal(picked, np.ascontiguousarray(scaled.features)[[7, 0, 31, 8]])
+
     def test_idempotent_on_own_output(self):
         rng = np.random.default_rng(11)
         ds = Dataset.from_arrays(rng.normal(size=(20, 4)) * 7, rng.integers(0, 2, 20))

@@ -23,6 +23,7 @@ from noisegate.ensemble import (
 )
 from noisegate.learners import DecisionStump, KnnHypothesis, KnnReference, weighted_error
 
+import vote_oracle
 from knn_oracle import knn_predict as knn_oracle
 from stump_oracle import train_stump as stump_oracle
 
@@ -187,8 +188,8 @@ class TestEnsemblePredict:
 
 
 class TestVoteSums:
-    """One vote per row per member, so plain fancy-index addition gives the
-    sums ``np.add.at`` gives."""
+    """One vote per row per member, so the sums are those of a 2-D
+    ``np.add.at`` over (row, class) pairs."""
 
     def random_stumps(self, rng, count, K):
         return [
@@ -219,6 +220,74 @@ class TestVoteSums:
         for E in ensembles:
             np.add.at(votes, (np.arange(200), ensemble_predict_batch(E, X)), E.beta)
         assert np.array_equal(global_predict_batch(G, X), np.argmax(votes, axis=1))
+
+
+def has_tie(scores) -> bool:
+    """Whether some row's top two classes have equal summed weight."""
+    top = np.sort(scores, axis=1)
+    return bool((top[:, -1] == top[:, -2]).any())
+
+
+def knn_members(rng, count, K, alphas):
+    ref = KnnReference(rng.normal(size=(40, 3)), np.arange(40) % K, 3)
+    return [
+        (float(rng.choice(alphas)), KnnHypothesis(ref, rng.dirichlet(np.ones(40))))
+        for _ in range(count)
+    ]
+
+
+class TestFlatIndexVotes:
+    """The flat-index vote sums against one 2-D fancy-index add per member."""
+
+    ALPHAS = (0.1, 0.3, 0.7)  # repeated alphas, so rows tie between classes
+
+    def members(self, rng, K):
+        stumps = [
+            (float(rng.choice(self.ALPHAS)),
+             DecisionStump(int(rng.integers(3)), float(rng.normal()),
+                           int(rng.integers(K)), int(rng.integers(K))))
+            for _ in range(20)
+        ]
+        return stumps + knn_members(rng, 4, K, self.ALPHAS)
+
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_ensemble_scores_equal_oracle(self, K):
+        rng = np.random.default_rng(50 + K)
+        X = rng.normal(size=(300, 3))
+        E = PartitionEnsemble(self.members(rng, K), 0.5, 0, K=K)
+        expected = vote_oracle.ensemble_scores(E, X)
+        assert has_tie(expected)
+        assert np.array_equal(ensemble_scores(E, X), expected)
+        assert np.array_equal(ensemble_predict_batch(E, X), np.argmax(expected, axis=1))
+
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_global_predict_equals_oracle(self, K):
+        rng = np.random.default_rng(60 + K)
+        X = rng.normal(size=(300, 3))
+        ensembles = [
+            PartitionEnsemble(self.members(rng, K)[:6], (0.25, 0.5)[i % 2], i, K=K)
+            for i in range(12)
+        ]
+        G = GlobalModel(ensembles, [str(k) for k in range(K)], None, {}, 3)
+        assert has_tie(vote_oracle.global_scores(G, X))
+        assert np.array_equal(global_predict_batch(G, X), vote_oracle.global_predict_batch(G, X))
+
+    def test_column_major_input_votes_the_same(self):
+        rng = np.random.default_rng(70)
+        X = rng.normal(size=(500, 3))
+        tree = adaboost_train(X, (X[:, 0] > X[:, 1]).astype(int), T=5,
+                              base=LearnerConfig("tree", max_depth=3), seed=1, n_classes=3)
+        tree.beta = 0.5
+        ensembles = [
+            PartitionEnsemble(self.members(rng, 3), 0.5, 0, K=3),
+            PartitionEnsemble(self.members(rng, 3), 0.75, 1, K=3),
+            tree,
+        ]
+        G = GlobalModel(ensembles, ["a", "b", "c"], None, {}, 3)
+        Xf = np.asfortranarray(X)
+        for E in ensembles:
+            assert np.array_equal(ensemble_scores(E, Xf), ensemble_scores(E, X))
+        assert np.array_equal(global_predict_batch(G, Xf), global_predict_batch(G, X))
 
 
 class TestComputeBeta:

@@ -339,6 +339,16 @@ class TestNeighbourSearch:
                 ref.neighbours(queries), np.argsort(d2, axis=1, kind="stable")[:, :k]
             )
 
+    def test_column_major_queries_match_row_major(self):
+        # tenths on a coarse grid: many distances tie up to the last bit, and
+        # 2000 queries against 600 references span two blocks
+        rng = np.random.default_rng(14)
+        refs = rng.integers(0, 4, size=(600, 7)) * 0.1
+        queries = rng.integers(0, 4, size=(2000, 7)) * 0.1
+        ref = KnnReference(refs, rng.integers(0, 3, 600), 5)
+        assert np.array_equal(ref.neighbours(np.asfortranarray(queries)),
+                              ref.neighbours(queries))
+
 
 class TestWeightedError:
     def test_perfect_hypothesis(self):

@@ -428,6 +428,26 @@ class TestEvaluate:
         result = evaluate(os.path.join(small_cfg.output_dir, "model.json"), str(test_path))
         assert result["n_test"] == 1
 
+    @pytest.mark.parametrize("call", [evaluate, predict_labels])
+    def test_unknown_format_rejected_before_reading(self, small_cfg, tmp_path, call):
+        run_training(small_cfg)
+        model_path = os.path.join(small_cfg.output_dir, "model.json")
+        # a LIBSVM file under fmt="CSV" used to be read as LIBSVM
+        with pytest.raises(ValueError, match="unknown format 'CSV'"):
+            call(model_path, small_cfg.test_path, fmt="CSV")
+        with pytest.raises(ValueError, match="unknown format 'CSV'"):
+            call(model_path, str(tmp_path / "missing.svm"), fmt="CSV")
+
+    @pytest.mark.parametrize("d", [2, 1])
+    def test_scaled_features_are_column_major(self, small_cfg, d):
+        model, _ = run_training(small_cfg)
+        rng = np.random.default_rng(d)
+        test = Dataset.from_arrays(rng.normal(size=(30, d)), np.zeros(30))
+        features = pipeline._prepare_eval_features(model, test)
+        assert features.flags.f_contiguous
+        assert np.array_equal(global_predict_batch(model, features),
+                              global_predict_batch(model, np.ascontiguousarray(features)))
+
 
 class TestPredict:
     def test_labels_decoded_to_tokens(self, small_cfg):
