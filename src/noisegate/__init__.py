@@ -13,7 +13,6 @@ from .data import (
     ScalingSpec,
     apply_scale,
     dataset_stats,
-    dump_libsvm,
     min_max_scale,
     parse_csv,
     parse_libsvm,

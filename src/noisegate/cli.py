@@ -85,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how each partition's vote weight is measured")
     train.add_argument("--reps", dest="repetitions", metavar="REPS", type=int,
                        help="repetitions with re-randomized partitions")
-    train.add_argument("--jobs", type=int,
-                       help="partition-stage worker threads (default: all cores)")
     train.add_argument("--out", required=True, dest="output_dir",
                        help="directory for model.json, report.json, timings.json")
 

@@ -14,7 +14,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -104,7 +103,6 @@ class RunConfig:
     beta_mode: str = "holdout"
     scaling: bool = True
     repetitions: int = 50
-    jobs: int | None = None
 
     def validate(self) -> None:
         """Reject a bad setting before any file is read."""
@@ -208,6 +206,15 @@ def _parse(path, fmt: str, label_column: int) -> Dataset:
     if fmt == "csv":
         return parse_csv(text, label_column)
     return parse_libsvm(text)
+
+
+def _parse_training(cfg: RunConfig) -> Dataset:
+    """The training file of cfg, parsed; a single-class file is rejected,
+    since no partition of it can be filtered by class impurity or boosted."""
+    train = _parse(cfg.train_path, cfg.fmt, cfg.label_column)
+    if train.K < 2:
+        raise ValueError("training data has a single class")
+    return train
 
 
 def _prepare_eval_features(model: GlobalModel, test: Dataset) -> np.ndarray:
@@ -325,17 +332,6 @@ def _partition_stage(part, data, cfg, kernel, grid, rep_seed):
         raise PartitionError(pid, exc) from exc
 
 
-def _run_partition_stages(parts, data, cfg, kernel, grid, rep_seed):
-    jobs = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)
-    if jobs <= 1 or len(parts) == 1:
-        return [_partition_stage(p, data, cfg, kernel, grid, rep_seed) for p in parts]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_partition_stage, p, data, cfg, kernel, grid, rep_seed) for p in parts
-        ]
-        return [f.result() for f in futures]
-
-
 def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
     """Run the full pipeline once per repetition and write model + reports.
 
@@ -348,11 +344,9 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
     t_total = time.perf_counter()
 
     t0 = time.perf_counter()
-    train = _parse(cfg.train_path, cfg.fmt, cfg.label_column)
+    train = _parse_training(cfg)
     test = _parse(cfg.test_path, cfg.fmt, cfg.label_column) if cfg.test_path else None
     timings["parse"] = time.perf_counter() - t0
-    if train.K < 2:
-        raise ValueError("training data has a single class")
 
     t0 = time.perf_counter()
     scaling_spec = None
@@ -379,7 +373,7 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
         parts = make_partitions(
             working, cfg.partitions, derive_seed(rep_seed, _STREAM_PARTITION)
         )
-        staged = _run_partition_stages(parts, working, cfg, kernel, grid, rep_seed)
+        staged = [_partition_stage(p, working, cfg, kernel, grid, rep_seed) for p in parts]
         ensembles = [ensemble for ensemble, _ in staged]
         summaries = [summary for _, summary in staged]
         model = GlobalModel(
@@ -461,7 +455,7 @@ def gini_scan(cfg: RunConfig) -> dict:
     file paths; nothing is printed.
     """
     cfg.validate()
-    train = _parse(cfg.train_path, cfg.fmt, cfg.label_column)
+    train = _parse_training(cfg)
     working = min_max_scale(train)[0] if cfg.scaling else train
     kernel = cfg.kernel(train.d)
     grid = default_grid(cfg.grid_step)

@@ -181,7 +181,6 @@ def test_criterion_7_end_to_end_direction(tmp_path):
             seed=7,
             filtering=filtering,
             repetitions=20,
-            jobs=1,
         )
         _, rep = run_training(cfg)
         accs[filtering] = np.array([r.accuracy for r in rep.repetitions])
@@ -206,7 +205,7 @@ def test_criterion_8_byte_identical_runs(tmp_path):
         code = cli_main([
             "train", "--train", str(tp), "--test", str(sp), "--out", str(out),
             "--partitions", "4", "--rounds", "10", "--reps", "2",
-            "--grid-step", "0.4", "--learner", "stump", "--seed", "3", "--jobs", "2",
+            "--grid-step", "0.4", "--learner", "stump", "--seed", "3",
         ])
         assert code == 0
         outs.append(out)

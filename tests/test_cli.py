@@ -28,7 +28,7 @@ def train_args(tp, sp, out, extra=()):
     return [
         "train", "--train", tp, "--test", sp, "--out", out,
         "--partitions", "4", "--rounds", "10", "--reps", "2",
-        "--grid-step", "0.4", "--learner", "stump", "--seed", "3", "--jobs", "1",
+        "--grid-step", "0.4", "--learner", "stump", "--seed", "3",
     ] + list(extra)
 
 
@@ -57,13 +57,13 @@ class TestParsing:
             "--format", "csv", "--label-col", "0", "--partitions", "7", "--nu", "0.25",
             "--kernel", "rbf", "--gamma", "0.75", "--grid-step", "0.1", "--seed", "9",
             "--no-scale", "--learner", "knn", "--rounds", "11", "--no-filter",
-            "--beta-mode", "train", "--reps", "3", "--jobs", "2",
+            "--beta-mode", "train", "--reps", "3",
         ])
         assert build_config(ns) == RunConfig(
             "a.csv", "d/", test_path="b.csv", fmt="csv", label_column=0, partitions=7,
             nu=0.25, kernel_kind="rbf", gamma=0.75, grid_step=0.1, seed=9, scaling=False,
             learner=LearnerConfig("knn"), rounds=11, filtering=False, beta_mode="train",
-            repetitions=3, jobs=2,
+            repetitions=3,
         )
 
     def test_missing_required_flag_names_it(self, capsys):
@@ -75,6 +75,12 @@ class TestParsing:
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli_parse(["train", "--train", "a", "--out", "b", "--frobnicate"])
+        assert err.value.code == 2
+
+    def test_jobs_flag_is_usage_error(self):
+        # partitions run one after another; there is no worker count to set
+        with pytest.raises(SystemExit) as err:
+            cli_parse(["train", "--train", "a", "--out", "b", "--jobs", "2"])
         assert err.value.code == 2
 
     def test_unknown_command(self):
@@ -191,6 +197,16 @@ class TestCommands:
                      "--partitions", "2", "--grid-step", "0.4"] + flags)
         assert code == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["train", "gini-scan"])
+    def test_single_class_input_is_data_error(self, tmp_path, capsys, command):
+        one = tmp_path / "one.svm"
+        one.write_text("a 1:0 2:1\na 1:1 2:0\na 1:2 2:2\na 1:3 2:1\n")
+        out = str(tmp_path / "o")
+        code = main([command, "--train", str(one), "--out", out, "--partitions", "2"])
+        assert code == 3
+        assert capsys.readouterr() == ("", "error: training data has a single class\n")
         assert not os.path.exists(out)
 
     def test_malformed_file_is_data_error(self, tmp_path, capsys):
