@@ -285,6 +285,7 @@ def model_from_dict(doc: dict) -> GlobalModel:
             f"model version {version!r} is newer than supported ({MODEL_VERSION})"
         )
     label_names = list(doc["label_names"])
+    n_features = int(doc["n_features"])
     scaling = None
     if doc.get("scaling") is not None:
         scaling = ScalingSpec(
@@ -295,10 +296,14 @@ def model_from_dict(doc: dict) -> GlobalModel:
     for e in doc["ensembles"]:
         pid = int(e["partition_id"])
         knn = KnnReference.from_dict(e["knn"]) if "knn" in e else None
-        members = [
-            (float(m["alpha"]), hypothesis_from_dict(m["hypothesis"], knn))
-            for m in e["members"]
-        ]
+        members = []
+        for j, m in enumerate(e["members"]):
+            try:
+                h = hypothesis_from_dict(m["hypothesis"], knn)
+                h.check(n_features, len(label_names))
+            except ValueError as exc:
+                raise ValueError(f"partition {pid}, member {j}: {exc}") from None
+            members.append((float(m["alpha"]), h))
         if knn is None:
             # version 1: every k-NN member carried its own copy of the references
             knn = _shared_reference(pid, [h for _, h in members])
@@ -311,7 +316,7 @@ def model_from_dict(doc: dict) -> GlobalModel:
             PartitionEnsemble(members, float(e["beta"]), pid, K=len(label_names))
         )
     return GlobalModel(ensembles, label_names, scaling, dict(doc.get("provenance", {})),
-                       int(doc["n_features"]))
+                       n_features)
 
 
 def save_model(G: GlobalModel, path) -> None:

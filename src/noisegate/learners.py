@@ -39,6 +39,14 @@ def _weighted_gini(mass: np.ndarray) -> float:
     return float(1.0 - p @ p)
 
 
+def _check_range(what: str, values, stop: int) -> None:
+    """Raise ValueError unless every one of ``values`` lies in [0, stop)."""
+    values = np.asarray(values)
+    bad = values[(values < 0) | (values >= stop)]
+    if bad.size:
+        raise ValueError(f"{what} {bad[0]} is not in [0, {stop})")
+
+
 class DecisionStump:
     """Single axis threshold; rows with x[feature] <= threshold go left."""
 
@@ -56,6 +64,11 @@ class DecisionStump:
         X = np.atleast_2d(X)
         return np.where(X[:, self.feature] <= self.threshold, self.left, self.right)
 
+    def check(self, n_features: int, K: int) -> None:
+        """Raise ValueError unless the stump fits a model of this shape."""
+        _check_range("stump feature", [self.feature], n_features)
+        _check_range("stump class", [self.left, self.right], K)
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -70,12 +83,13 @@ class DecisionStump:
         return cls(int(doc["feature"]), float(doc["threshold"]), int(doc["left"]), int(doc["right"]))
 
 
-# Temporaries stay near this many float64 elements for any input: the stump
-# search takes columns in blocks of this many (row, column, class) values,
-# the k-NN search query rows in blocks of this many distances. Columns are
-# independent, so blocking cannot change a stump. A k-NN query set that fits
-# one block gets one matrix product; BLAS picks kernels by shape, so cutting a
-# product into row blocks can change its last bit.
+# Temporaries stay near this many elements for any input: the stump search
+# takes columns in blocks of this many (row, column, class) values, tree
+# routing and the k-NN search take query rows in blocks of this many (node,
+# row) compares or distances. Columns are independent, so blocking cannot
+# change a stump. A k-NN query set that fits one block gets one matrix
+# product; BLAS picks kernels by shape, so cutting a product into row blocks
+# can change its last bit.
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -171,35 +185,85 @@ def train_stump(X, y, w, index: StumpIndex | None = None) -> DecisionStump:
 
 
 class RandomTree:
-    """Recursive splitter with randomized (feature, threshold) candidates."""
+    """Randomized splitter; rows with x[feature] <= threshold go left.
+
+    ``root`` is the nested tree the model file stores. Prediction routes over
+    flat pre-order node arrays built from it once: ``feature``, ``threshold``,
+    ``children`` (left and right of node i at 2i and 2i + 1) and ``value``. A
+    leaf's children are the leaf itself and its threshold is +inf, so a row
+    that has reached a leaf stays there.
+    """
 
     kind = "random_tree"
 
     def __init__(self, root: dict, max_depth: int):
         self.root = root
         self.max_depth = max_depth
+        feature, threshold, children, value = [], [], [], []
+        self._depth = 0
+        stack = [(root, None, 0)]  # (node, its slot in children, its depth)
+        while stack:
+            node, slot, level = stack.pop()
+            i = len(value)
+            if slot is not None:
+                children[slot] = i
+            self._depth = max(self._depth, level)
+            leaf = "leaf" in node
+            if not leaf and not math.isfinite(node["threshold"]):
+                raise ValueError("tree threshold must be finite")
+            feature.append(0 if leaf else node["feature"])
+            threshold.append(math.inf if leaf else node["threshold"])
+            value.append(node["leaf"] if leaf else -1)
+            children += [i, i]
+            if not leaf:
+                stack += [(node["right"], 2 * i + 1, level + 1), (node["left"], 2 * i, level + 1)]
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.children = np.array(children, dtype=np.intp)
+        self.value = np.array(value, dtype=np.int64)
+
+    def split_nodes(self) -> np.ndarray:
+        """The internal nodes, in pre-order: those with a finite threshold."""
+        return np.flatnonzero(np.isfinite(self.threshold))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Compare each internal node's column once into a (node, row) matrix,
+        then take ``depth()`` steps from the root through one flat index."""
         X = np.atleast_2d(X)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        self._route(self.root, X, np.arange(X.shape[0]), out)
+        n, n_nodes = X.shape[0], self.value.size
+        internal = self.split_nodes()
+        splits = list(zip(internal.tolist(), self.feature[internal].tolist(),
+                          self.threshold[internal].tolist()))
+        out = np.empty(n, dtype=np.int64)
+        step = max(1, _BLOCK_ELEMENTS // n_nodes)
+        for lo in range(0, n, step):
+            B = X[lo:lo + step]
+            m = B.shape[0]
+            # a leaf's row stays 0; a NaN fails <= and goes right
+            goes_right = np.zeros((n_nodes, m), dtype=bool)
+            for i, f, t in splits:
+                np.less_equal(B[:, f], t, out=goes_right[i])
+                np.logical_not(goes_right[i], out=goes_right[i])
+            goes_right = goes_right.view(np.uint8).ravel()
+            rows = np.arange(m)
+            node = np.zeros(m, dtype=np.intp)
+            for _ in range(self._depth):
+                flat = node * m
+                flat += rows
+                node *= 2
+                node += goes_right[flat]
+                node = self.children[node]
+            out[lo:lo + m] = self.value[node]
         return out
 
-    def _route(self, node, X, idx, out):
-        if "leaf" in node:
-            out[idx] = node["leaf"]
-            return
-        mask = X[idx, node["feature"]] <= node["threshold"]
-        self._route(node["left"], X, idx[mask], out)
-        self._route(node["right"], X, idx[~mask], out)
-
     def depth(self) -> int:
-        def walk(node):
-            if "leaf" in node:
-                return 0
-            return 1 + max(walk(node["left"]), walk(node["right"]))
+        return self._depth
 
-        return walk(self.root)
+    def check(self, n_features: int, K: int) -> None:
+        """Raise ValueError unless the tree fits a model of this shape."""
+        internal = self.split_nodes()
+        _check_range("tree feature", self.feature[internal], n_features)
+        _check_range("tree leaf class", np.delete(self.value, internal), K)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "max_depth": self.max_depth, "root": self.root}
@@ -322,6 +386,13 @@ class KnnReference:
             out[lo:lo + step] = _top_k(d2, self.k)
         return out
 
+    def check(self, n_features: int, K: int) -> None:
+        """Raise ValueError unless the references fit a model of this shape."""
+        if self.refs.shape[1] != n_features:
+            raise ValueError(f"k-NN references have {self.refs.shape[1]} features, "
+                             f"not {n_features}")
+        _check_range("k-NN reference label", self.labels, K)
+
     def equals(self, other: "KnnReference") -> bool:
         return (
             self.k == other.k
@@ -359,6 +430,9 @@ class KnnHypothesis:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.vote(self.reference.neighbours(X))
+
+    def check(self, n_features: int, K: int) -> None:
+        self.reference.check(n_features, K)
 
     def to_dict(self) -> dict:
         """The member's own state; its ensemble stores the reference set once."""

@@ -256,3 +256,93 @@ class TestCommands:
         tp, sp = data_files
         monkeypatch.setenv("NOISEGATE_LOG", "info")
         assert main(train_args(tp, sp, str(tmp_path / "run"))) == 0
+
+
+@pytest.fixture(scope="module")
+def trained_models(tmp_path_factory):
+    """learner kind -> (model document, test file) from one small train each."""
+    root = tmp_path_factory.mktemp("models")
+    train = root / "train.svm"
+    test = root / "test.svm"
+    train.write_text(dump_libsvm(striped_ring_dataset(240, noise_fraction=0.15, seed=1)))
+    test.write_text(dump_libsvm(striped_ring_dataset(100, noise_fraction=0.0, seed=2)))
+    models = {}
+    for kind in ("tree", "stump", "knn"):
+        out = str(root / kind)
+        assert main(train_args(str(train), str(test), out, ["--learner", kind])) == 0
+        with open(os.path.join(out, "model.json")) as fh:
+            models[kind] = (json.load(fh), str(test))
+    return models
+
+
+def _first_split(doc):
+    """(member index, root) of the first ensemble's first tree whose root splits."""
+    for j, m in enumerate(doc["ensembles"][0]["members"]):
+        if "feature" in m["hypothesis"]["root"]:
+            return j, m["hypothesis"]["root"]
+    raise AssertionError("no tree member splits")
+
+
+def _tree_leaf_k(doc):
+    j, node = _first_split(doc)
+    while "leaf" not in node:
+        node = node["left"]
+    node["leaf"] = len(doc["label_names"])
+    return j
+
+
+def _tree_feature(doc):
+    assert doc["n_features"] == 2
+    j, root = _first_split(doc)
+    root["feature"] = 7
+    return j
+
+
+def _tree_nan_threshold(doc):
+    j, root = _first_split(doc)
+    root["threshold"] = float("nan")
+    return j
+
+
+def _stump_class_k(doc):
+    doc["ensembles"][0]["members"][0]["hypothesis"]["right"] = len(doc["label_names"])
+    return 0
+
+
+def _stump_feature(doc):
+    doc["ensembles"][0]["members"][0]["hypothesis"]["feature"] = doc["n_features"]
+    return 0
+
+
+def _knn_label_k(doc):
+    doc["ensembles"][0]["knn"]["labels"][-1] = len(doc["label_names"])
+    return 0
+
+
+def _knn_width(doc):
+    for row in doc["ensembles"][0]["knn"]["refs"]:
+        row.append(0.0)
+    return 0
+
+
+class TestCorruptMembers:
+    @pytest.mark.parametrize("kind, corrupt, message", [
+        ("tree", _tree_leaf_k, "tree leaf class 2 is not in [0, 2)"),
+        ("tree", _tree_feature, "tree feature 7 is not in [0, 2)"),
+        ("tree", _tree_nan_threshold, "tree threshold must be finite"),
+        ("stump", _stump_class_k, "stump class 2 is not in [0, 2)"),
+        ("stump", _stump_feature, "stump feature 2 is not in [0, 2)"),
+        ("knn", _knn_label_k, "k-NN reference label 2 is not in [0, 2)"),
+        ("knn", _knn_width, "k-NN references have 3 features, not 2"),
+    ], ids=["tree-leaf", "tree-feature", "tree-nan-threshold", "stump-class",
+            "stump-feature", "knn-label", "knn-width"])
+    def test_evaluate_rejects_member(self, trained_models, tmp_path, capsys, kind, corrupt,
+                                     message):
+        doc, test = trained_models[kind]
+        doc = json.loads(json.dumps(doc))
+        member = corrupt(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["evaluate", "--model", str(path), "--test", test]) == 3
+        pid = doc["ensembles"][0]["partition_id"]
+        assert capsys.readouterr() == ("", f"error: partition {pid}, member {member}: {message}\n")

@@ -8,6 +8,7 @@ from noisegate.learners import (
     DecisionStump,
     KnnHypothesis,
     KnnReference,
+    RandomTree,
     StumpIndex,
     _misclassified,
     _top_k,
@@ -21,6 +22,7 @@ from noisegate.learners import (
 
 from knn_oracle import knn_nearest, knn_predict as knn_oracle
 from stump_oracle import train_stump as stump_oracle
+import tree_oracle
 
 
 def knn_predict(refs, labels, ref_weights, x, k):
@@ -261,6 +263,141 @@ class TestRandomTree:
             train_random_tree(X, y, uniform_weights(3), max_depth=0)
         with pytest.raises(ValueError):
             train_random_tree(X, y, uniform_weights(3), k_candidates=0)
+
+
+def assert_routes_like_oracle(tree, X):
+    got = tree.predict(X)
+    want = tree_oracle.predict(tree, X)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def on_every_threshold(tree, X):
+    """X with, per internal node, a copy whose split column equals its threshold."""
+    copies = [X]
+    for i in tree.split_nodes().tolist():
+        on = X.copy()
+        on[:, tree.feature[i]] = tree.threshold[i]
+        copies.append(on)
+    return np.vstack(copies)
+
+
+HAND_TREE = {
+    "feature": 1, "threshold": 0.5,
+    "left": {"leaf": 0},
+    "right": {"feature": 0, "threshold": -1.0, "left": {"leaf": 1}, "right": {"leaf": 2}},
+}
+
+
+class TestTreeRoutingMatchesOracle:
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_trained_trees(self, K):
+        rng = np.random.default_rng(K)
+        X = rng.normal(size=(150, 3))
+        y = rng.integers(0, K, 150)
+        w = random_weights(rng, 150)
+        probes = np.vstack([X, rng.normal(scale=2.0, size=(200, 3))])
+        probes[-5:, rng.integers(3)] = np.nan  # fails <= at any node: goes right
+        for max_depth in range(1, 9):
+            tree = train_random_tree(X, y, w, max_depth=max_depth, seed=max_depth)
+            assert tree.depth() == tree_oracle.depth(tree.root) <= max_depth
+            assert_routes_like_oracle(tree, probes)
+
+    def test_rows_on_a_threshold_go_left(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(80, 2))
+        y = (X[:, 0] * X[:, 1] > 0).astype(int)
+        tree = train_random_tree(X, y, uniform_weights(80), max_depth=6, seed=4)
+        assert tree.split_nodes().size > 3
+        assert_routes_like_oracle(tree, on_every_threshold(tree, X))
+        hand = RandomTree(HAND_TREE, 2)
+        rows = np.array([[5.0, 0.5], [-1.0, 0.6], [np.nan, 0.6], [0.0, np.nan]])
+        assert hand.predict(rows).tolist() == [0, 1, 2, 2]
+
+    def test_constant_columns(self):
+        rng = np.random.default_rng(6)
+        X = np.column_stack([np.full(60, 0.25), rng.normal(size=60), np.zeros(60)])
+        y = rng.integers(0, 3, 60)
+        for seed in range(4):
+            tree = train_random_tree(X, y, uniform_weights(60), max_depth=5, seed=seed)
+            assert set(tree.feature[tree.split_nodes()].tolist()) <= {1}
+            assert_routes_like_oracle(tree, on_every_threshold(tree, X))
+
+    def test_root_leaf(self):
+        tree = RandomTree({"leaf": 2}, 3)
+        assert tree.depth() == 0
+        assert tree.children.tolist() == [0, 0]
+        assert tree.predict(np.zeros((4, 2))).tolist() == [2, 2, 2, 2]
+        assert_routes_like_oracle(tree, np.zeros((0, 2)))
+
+    def test_row_orders_and_sizes(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(120, 4))
+        y = rng.integers(0, 3, 120)
+        tree = train_random_tree(X, y, uniform_weights(120), max_depth=5, seed=1)
+        want = tree_oracle.predict(tree, X)
+        for layout in (np.ascontiguousarray(X), np.asfortranarray(X)):
+            assert np.array_equal(tree.predict(layout), want)
+            assert np.array_equal(tree.predict(layout[:1]), want[:1])
+            assert tree.predict(layout[:0]).shape == (0,)
+        assert np.array_equal(tree.predict(X[0]), want[:1])
+
+    def test_blocks_of_rows(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(90, 2))
+        tree = train_random_tree(X, rng.integers(0, 3, 90), uniform_weights(90),
+                                 max_depth=4, seed=2)
+        monkeypatch.setattr(learners, "_BLOCK_ELEMENTS", 4 * tree.value.size + 1)
+        assert_routes_like_oracle(tree, X)
+
+    def test_deep_tree_arrays_sized_by_its_nodes(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(300, 3))
+        y = rng.integers(0, 4, 300)
+        tree = train_random_tree(X, y, uniform_weights(300), max_depth=30, seed=0)
+        n_nodes = tree_oracle.node_count(tree.root)
+        assert tree.depth() == tree_oracle.depth(tree.root) > 8
+        for arr in (tree.feature, tree.threshold, tree.value):
+            assert arr.shape == (n_nodes,)
+        assert tree.children.shape == (2 * n_nodes,)
+        assert_routes_like_oracle(tree, np.vstack([X, rng.normal(size=(100, 3))]))
+
+
+class TestTreeLayout:
+    def test_pre_order_arrays(self):
+        tree = RandomTree(HAND_TREE, 2)
+        assert tree.feature.tolist() == [1, 0, 0, 0, 0]
+        assert tree.threshold.tolist() == [0.5, np.inf, -1.0, np.inf, np.inf]
+        assert tree.children.tolist() == [1, 2, 1, 1, 3, 4, 3, 3, 4, 4]
+        assert tree.value[[1, 3, 4]].tolist() == [0, 1, 2]
+        assert tree.split_nodes().tolist() == [0, 2]
+        assert tree.depth() == 2
+
+    def test_round_trip_rebuilds_equal_arrays(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(100, 3))
+        tree = train_random_tree(X, rng.integers(0, 4, 100), uniform_weights(100),
+                                 max_depth=6, seed=3)
+        back = RandomTree.from_dict(json.loads(json.dumps(tree.to_dict())))
+        for name in ("feature", "threshold", "children", "value"):
+            a, b = getattr(tree, name), getattr(back, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert back.depth() == tree.depth()
+
+    def test_document_unchanged_by_predict(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(60, 2))
+        tree = train_random_tree(X, rng.integers(0, 2, 60), uniform_weights(60),
+                                 max_depth=4, seed=5)
+        before = json.dumps(tree.to_dict())
+        tree.predict(X)
+        assert json.dumps(tree.to_dict()) == before
+        assert set(tree.to_dict()) == {"kind", "max_depth", "root"}
+
+    def test_non_finite_threshold_rejected(self):
+        with pytest.raises(ValueError, match="tree threshold must be finite"):
+            RandomTree({"feature": 0, "threshold": float("nan"),
+                        "left": {"leaf": 0}, "right": {"leaf": 1}}, 1)
 
 
 class TestKnn:
