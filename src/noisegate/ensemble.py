@@ -299,11 +299,14 @@ def model_from_dict(doc: dict) -> GlobalModel:
         members = []
         for j, m in enumerate(e["members"]):
             try:
+                alpha = float(m["alpha"])
                 h = hypothesis_from_dict(m["hypothesis"], knn)
                 h.check(n_features, len(label_names))
-            except ValueError as exc:
+            except KeyError as exc:
+                raise ValueError(f"partition {pid}, member {j}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"partition {pid}, member {j}: {exc}") from None
-            members.append((float(m["alpha"]), h))
+            members.append((alpha, h))
         if knn is None:
             # version 1: every k-NN member carried its own copy of the references
             knn = _shared_reference(pid, [h for _, h in members])

@@ -7,6 +7,7 @@ to 1) and are deterministic given their inputs and seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,14 @@ def _weighted_gini(mass: np.ndarray) -> float:
         return 0.0
     p = mass / total
     return float(1.0 - p @ p)
+
+
+def _integer(what: str, value) -> int:
+    """value itself when it is an int; a model file's "1", 1.5 or true is
+    rejected rather than converted."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _check_range(what: str, values, stop: int) -> None:
@@ -80,17 +89,22 @@ class DecisionStump:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionStump":
-        return cls(int(doc["feature"]), float(doc["threshold"]), int(doc["left"]), int(doc["right"]))
+        return cls(_integer("stump feature", doc["feature"]), float(doc["threshold"]),
+                   _integer("stump class", doc["left"]), _integer("stump class", doc["right"]))
 
 
 # Temporaries stay near this many elements for any input: the stump search
-# takes columns in blocks of this many (row, column, class) values, tree
-# routing and the k-NN search take query rows in blocks of this many (node,
-# row) compares or distances. Columns are independent, so blocking cannot
-# change a stump. A k-NN query set that fits one block gets one matrix
-# product; BLAS picks kernels by shape, so cutting a product into row blocks
-# can change its last bit.
+# takes columns in blocks of this many (row, column, class) values, the k-NN
+# search takes query rows in blocks of this many distances. Columns are
+# independent, so blocking cannot change a stump. A k-NN query set that fits
+# one block gets one matrix product; BLAS picks kernels by shape, so cutting
+# a product into row blocks can change its last bit.
 _BLOCK_ELEMENTS = 1 << 20
+# Tree routing takes rows in blocks whose compare matrix and row buffers hold
+# about this many bytes, reused across blocks: a few hundred KB per call,
+# where (node, row) blocks of _BLOCK_ELEMENTS churned MBs per tree, which
+# malloc may return to the system and fault back in between calls.
+_ROUTE_BYTES = 1 << 18
 
 
 class StumpIndex:
@@ -211,9 +225,9 @@ class RandomTree:
             leaf = "leaf" in node
             if not leaf and not math.isfinite(node["threshold"]):
                 raise ValueError("tree threshold must be finite")
-            feature.append(0 if leaf else node["feature"])
+            feature.append(0 if leaf else _integer("tree feature", node["feature"]))
             threshold.append(math.inf if leaf else node["threshold"])
-            value.append(node["leaf"] if leaf else -1)
+            value.append(_integer("tree leaf class", node["leaf"]) if leaf else -1)
             children += [i, i]
             if not leaf:
                 stack += [(node["right"], 2 * i + 1, level + 1), (node["left"], 2 * i, level + 1)]
@@ -227,33 +241,59 @@ class RandomTree:
         return np.flatnonzero(np.isfinite(self.threshold))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Compare each internal node's column once into a (node, row) matrix,
-        then take ``depth()`` steps from the root through one flat index."""
+        """Route rows a block at a time: compare the block once per internal
+        node, then take ``depth()`` steps from the root.
+
+        A row's state is u = 2 * node + 1, so with le = 1 when it goes left
+        its next node is ``children[u - le]``. The internal nodes are sorted
+        by feature, so each feature is one broadcast compare into a (compare
+        row, block row) matrix; a leaf reads compare row 0, as both its
+        children are itself. The matrix and row buffers are allocated once
+        per call and written through ``out=``. Every index is in range by
+        construction, so ``take`` runs in "clip" mode, which does no bounds
+        check and buffers no copy.
+        """
         X = np.atleast_2d(X)
-        n, n_nodes = X.shape[0], self.value.size
+        n = X.shape[0]
         internal = self.split_nodes()
-        splits = list(zip(internal.tolist(), self.feature[internal].tolist(),
-                          self.threshold[internal].tolist()))
+        internal = internal[self.feature[internal].argsort(kind="stable")]
+        features = self.feature[internal].tolist()
+        thresholds = self.threshold[internal, None]
+        groups = []  # (first compare row, end, feature, thresholds)
+        for f, run in itertools.groupby(features):
+            a = groups[-1][1] if groups else 0
+            b = a + len(list(run))
+            groups.append((a, b, f, thresholds[a:b]))
+        # per block row: one byte per compare, a uint8 and two intp buffers
+        m = max(1, min(n, _ROUTE_BYTES // (max(1, internal.size) + 17)))
+        compare_row = np.zeros(self.value.size, dtype=np.intp)
+        compare_row[internal] = np.arange(0, internal.size * m, m)
+        row_start = compare_row.repeat(2)  # indexed by u
+        next_u = 2 * self.children + 1
+        value = self.value.repeat(2)
+        le = np.zeros((max(1, internal.size), m), dtype=bool)
+        le_bytes = le.view(np.uint8).ravel()
+        rows = np.arange(m)
+        u_buf = np.empty(m, dtype=np.intp)
+        flat_buf = np.empty(m, dtype=np.intp)
+        bit_buf = np.empty(m, dtype=np.uint8)
         out = np.empty(n, dtype=np.int64)
-        step = max(1, _BLOCK_ELEMENTS // n_nodes)
-        for lo in range(0, n, step):
-            B = X[lo:lo + step]
-            m = B.shape[0]
-            # a leaf's row stays 0; a NaN fails <= and goes right
-            goes_right = np.zeros((n_nodes, m), dtype=bool)
-            for i, f, t in splits:
-                np.less_equal(B[:, f], t, out=goes_right[i])
-                np.logical_not(goes_right[i], out=goes_right[i])
-            goes_right = goes_right.view(np.uint8).ravel()
-            rows = np.arange(m)
-            node = np.zeros(m, dtype=np.intp)
+        for lo in range(0, n, m):
+            B = X[lo:lo + m]
+            k = B.shape[0]
+            # a NaN fails <= at any node and goes right
+            for a, b, f, t in groups:
+                np.less_equal(B[:, f], t, out=le[a:b, :k])
+            u, flat, bit = u_buf[:k], flat_buf[:k], bit_buf[:k]
+            u.fill(1)
             for _ in range(self._depth):
-                flat = node * m
-                flat += rows
-                node *= 2
-                node += goes_right[flat]
-                node = self.children[node]
-            out[lo:lo + m] = self.value[node]
+                row_start.take(u, out=flat, mode="clip")
+                flat += rows[:k]
+                le_bytes.take(flat, out=bit, mode="clip")
+                u -= bit
+                next_u.take(u, out=flat, mode="clip")
+                u, flat = flat, u
+            value.take(u, out=out[lo:lo + k], mode="clip")
         return out
 
     def depth(self) -> int:

@@ -217,7 +217,14 @@ def _parse_training(cfg: RunConfig) -> Dataset:
     return train
 
 
-def _prepare_eval_features(model: GlobalModel, test: Dataset) -> np.ndarray:
+def _fit_to_model(model: GlobalModel, test: Dataset) -> Dataset:
+    """test at the model's width and scale: zero columns padded on the right,
+    then mapped through the model's scaling spec.
+
+    Each step drops its input once its output exists, so a caller that passes
+    its only reference holds at most two copies of the features at once, and
+    only the column-major scaled one afterwards.
+    """
     if test.d > model.n_features:
         raise ValueError(
             f"test data has {test.d} features, model expects {model.n_features}"
@@ -227,20 +234,20 @@ def _prepare_eval_features(model: GlobalModel, test: Dataset) -> np.ndarray:
         test = Dataset(np.hstack([test.features, pad]), test.labels, test.label_names)
     if model.scaling is not None:
         test = apply_scale(model.scaling, test)
-    return test.features
+    return test
 
 
 def evaluate_model(model: GlobalModel, test: Dataset):
     """Accuracy, summed confusion matrix, and unseen-label counts.
 
+    ``test`` is already at the model's width and scale (``_fit_to_model``).
     Test labels never seen at training time count as always-wrong and are
     reported separately rather than raising.
     """
-    features = _prepare_eval_features(model, test)
     token_to_id = {name: i for i, name in enumerate(model.label_names)}
     mapped = np.array([token_to_id.get(name, -1) for name in test.label_names])
     truth = mapped[test.labels]
-    preds = global_predict_batch(model, features)
+    preds = global_predict_batch(model, test.features)
     known = truth >= 0
     accuracy = float(((preds == truth) & known).sum() / test.n)
     K = model.K
@@ -386,7 +393,7 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
         accuracy = None
         if test is not None:
             t0 = time.perf_counter()
-            accuracy, conf, unseen = evaluate_model(model, test)
+            accuracy, conf, unseen = evaluate_model(model, _fit_to_model(model, test))
             confusion = conf if confusion is None else confusion + conf
             for name, count in unseen.items():
                 unseen_totals[name] = unseen_totals.get(name, 0) + count
@@ -425,7 +432,8 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
 def evaluate(model_path, test_path, fmt: str = "libsvm", label_column: int = -1) -> dict:
     """Score a saved model against a test file."""
     model = load_model(model_path)
-    test = _parse(test_path, fmt, label_column)
+    # the parsed and padded arrays are freed before the vote
+    test = _fit_to_model(model, _parse(test_path, fmt, label_column))
     accuracy, confusion, unseen = evaluate_model(model, test)
     return {
         "accuracy": accuracy,
@@ -439,8 +447,7 @@ def evaluate(model_path, test_path, fmt: str = "libsvm", label_column: int = -1)
 def predict_labels(model_path, data_path, fmt: str = "libsvm", label_column: int = -1) -> list[str]:
     """Predicted label tokens, one per input row."""
     model = load_model(model_path)
-    ds = _parse(data_path, fmt, label_column)
-    features = _prepare_eval_features(model, ds)
+    features = _fit_to_model(model, _parse(data_path, fmt, label_column)).features
     return [model.label_names[p] for p in global_predict_batch(model, features)]
 
 

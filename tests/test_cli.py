@@ -304,6 +304,20 @@ def _tree_nan_threshold(doc):
     return j
 
 
+def _tree_missing_right(doc):
+    j, root = _first_split(doc)
+    del root["right"]
+    return j
+
+
+def _tree_string_leaf(doc):
+    j, node = _first_split(doc)
+    while "leaf" not in node:
+        node = node["left"]
+    node["leaf"] = "1"
+    return j
+
+
 def _stump_class_k(doc):
     doc["ensembles"][0]["members"][0]["hypothesis"]["right"] = len(doc["label_names"])
     return 0
@@ -311,6 +325,11 @@ def _stump_class_k(doc):
 
 def _stump_feature(doc):
     doc["ensembles"][0]["members"][0]["hypothesis"]["feature"] = doc["n_features"]
+    return 0
+
+
+def _stump_bool_feature(doc):
+    doc["ensembles"][0]["members"][0]["hypothesis"]["feature"] = True
     return 0
 
 
@@ -330,12 +349,16 @@ class TestCorruptMembers:
         ("tree", _tree_leaf_k, "tree leaf class 2 is not in [0, 2)"),
         ("tree", _tree_feature, "tree feature 7 is not in [0, 2)"),
         ("tree", _tree_nan_threshold, "tree threshold must be finite"),
+        ("tree", _tree_missing_right, "missing key 'right'"),
+        ("tree", _tree_string_leaf, "tree leaf class must be an integer, got '1'"),
         ("stump", _stump_class_k, "stump class 2 is not in [0, 2)"),
         ("stump", _stump_feature, "stump feature 2 is not in [0, 2)"),
+        ("stump", _stump_bool_feature, "stump feature must be an integer, got True"),
         ("knn", _knn_label_k, "k-NN reference label 2 is not in [0, 2)"),
         ("knn", _knn_width, "k-NN references have 3 features, not 2"),
-    ], ids=["tree-leaf", "tree-feature", "tree-nan-threshold", "stump-class",
-            "stump-feature", "knn-label", "knn-width"])
+    ], ids=["tree-leaf", "tree-feature", "tree-nan-threshold", "tree-missing-right",
+            "tree-string-leaf", "stump-class", "stump-feature", "stump-bool-feature",
+            "knn-label", "knn-width"])
     def test_evaluate_rejects_member(self, trained_models, tmp_path, capsys, kind, corrupt,
                                      message):
         doc, test = trained_models[kind]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from noisegate import data
 from noisegate.data import (
     Dataset,
     ParseError,
@@ -82,6 +83,146 @@ class TestParseLibsvm:
         p.write_text("1 1:1\n2 2:1\n")
         with open(p) as fh:
             assert parse_libsvm(fh).n == 2
+
+
+def line_loop(text):
+    """The line loop alone, as parse_libsvm falls back to it."""
+    return data._assemble(*data._scan_lines(text))
+
+
+def assert_parses_like_line_loop(text) -> bool:
+    """parse_libsvm(text) and the line loop give bit-equal Datasets, or the
+    same ParseError message and line. Returns whether the text parsed."""
+    try:
+        want = line_loop(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(text)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return False
+    got = parse_libsvm(text)
+    assert got.features.shape == want.features.shape
+    assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
+    assert got.labels.dtype == want.labels.dtype
+    assert np.array_equal(got.labels, want.labels)
+    assert got.label_names == want.label_names
+    return True
+
+
+def bench_style_text(rng, n, extra_columns=0):
+    """Lines as the benchmark writes them: two Gaussian columns, then sparse
+    log-normal ones, every value in %.6g."""
+    lines = []
+    for label, (x0, x1) in zip(rng.integers(0, 2, n), rng.normal(scale=3.0, size=(n, 2))):
+        pairs = [f"1:{x0:.6g}", f"2:{x1:.6g}"]
+        for c in np.flatnonzero(rng.random(extra_columns) < 0.05):
+            pairs.append(f"{c + 3}:{rng.lognormal(0.0, 1.5):.6g}")
+        lines.append(f"{label} " + " ".join(pairs))
+    return "\n".join(lines) + "\n"
+
+
+MALFORMED = [
+    # the inputs of TestParseLibsvm's error cases
+    "",
+    "1 2:1 1:1",
+    "1 2:1 2:3",
+    "1 1:1\n1 1:abc",
+    "1 notapair",
+    "1 1:1\n1 1:nan",
+    "1 1:1\n1 1:inf",
+    "1 1:1\n1 1:-inf",
+    "1 1:1\n1 1:1e999",
+    "1 1:1\n0 5000000000000:1",
+    "1 1:1\n0 2:1 18446744073709551616:1\n1 3:1",
+    # and the faults the fast path checks for itself
+    "\n\n \n",
+    "1:1 2:2",
+    "a 1:1\nb:2 1:1",
+    "1 0:1",
+    "1 -1:2",
+    "1 1.0:2",
+    "1 1e1:2",
+    "1 1:",
+    "1 :1",
+    "1 1::2",
+    "1 1:2:3",
+    "1 1:2 3",
+    "1 1:-",
+    "1 1:1e",
+    "1 1:1..2",
+    "1 1:1-2",
+    "1 1:0x10",
+    "1 9007199254740993:1",
+    "1 9007199254740992:1 9007199254740993:1",
+]
+# the line loop reads these; the fast path declines them
+FALLBACK = [
+    "1 +1:2",
+    "1 1:1_0",
+    "1 \u0661:1",
+    "1 1:\u0661",
+    "1 1:1\x0b2:1",
+    "1 1:1\r\n2 2:2\r\n",
+    "1 1:1e5\u20032:2",
+]
+VALID = [
+    "+1 1:0.5 3:2.0\n-1 2:1.0",
+    "\n1 1:1\n\n2 1:2\n\n",
+    "a 2:1\nb",
+    "z 1:1\na 1:1\nz 1:1",
+    "1 2:1\n2 1:3",
+    "1\t1:1\t 2:-.5e+3 \n2\x0b1:1e-320",
+    "\u00e9t\u00e9 01:1 002:+2.",
+    "1 1:1\n\u0661 2:2",
+]
+
+
+class TestFastPathMatchesLineLoop:
+    @pytest.mark.parametrize("text", MALFORMED + FALLBACK + VALID)
+    def test_listed_inputs(self, text):
+        assert assert_parses_like_line_loop(text) == (text not in MALFORMED)
+        assert (data._scan_blocks(text) is not None) == (text in VALID)
+
+    @pytest.mark.parametrize("block_chars", [data._PARSE_BLOCK_CHARS, 200])
+    def test_mutants_of_a_valid_file(self, monkeypatch, block_chars):
+        monkeypatch.setattr(data, "_PARSE_BLOCK_CHARS", block_chars)
+        rng = np.random.default_rng(block_chars)
+        base = bench_style_text(rng, 30, extra_columns=6)
+        chars = "0123456789.:eE+-\t\n_"
+        tokens = list(chars) + ["nan", "1e999", "\u0661", "\x0b"]
+        parsed = fast = 0
+        n_mutants = 2000 if block_chars == data._PARSE_BLOCK_CHARS else 250
+        for _ in range(n_mutants):
+            text = base
+            for _ in range(int(rng.integers(1, 3))):
+                op = int(rng.integers(3))
+                if op == 0:
+                    pos = int(rng.integers(len(text) + 1))
+                    text = text[:pos] + tokens[int(rng.integers(len(tokens)))] + text[pos:]
+                    continue
+                spots = [i for i, c in enumerate(text) if c in chars]
+                i = spots[int(rng.integers(len(spots)))]
+                # delete the character, or write it twice
+                text = text[:i] + text[i + 1:] if op == 1 else text[:i + 1] + text[i:]
+            parsed += assert_parses_like_line_loop(text)
+            fast += data._scan_blocks(text) is not None
+        # the mutants reach both outcomes, and the fast path takes a share
+        assert 0.2 * n_mutants < fast <= parsed < n_mutants
+
+    @pytest.mark.parametrize("block_chars", [data._PARSE_BLOCK_CHARS, 4096])
+    def test_bench_style_text_needs_no_fallback(self, monkeypatch, block_chars):
+        text = bench_style_text(np.random.default_rng(5), 3000, extra_columns=98)
+        want = line_loop(text)
+
+        def no_line_loop(text):
+            raise AssertionError("parse_libsvm fell back to the line loop")
+
+        monkeypatch.setattr(data, "_scan_lines", no_line_loop)
+        monkeypatch.setattr(data, "_PARSE_BLOCK_CHARS", block_chars)
+        got = parse_libsvm(text)
+        assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
+        assert np.array_equal(got.labels, want.labels)
+        assert got.label_names == want.label_names
 
 
 class TestRoundTrip:

@@ -20,6 +20,10 @@ from noisegate.learners import (
     weighted_error,
 )
 
+from noisegate.data import min_max_scale, partition
+from noisegate.ensemble import LearnerConfig, adaboost_train
+from noisegate.synthetic import striped_ring_dataset
+
 from knn_oracle import knn_nearest, knn_predict as knn_oracle
 from stump_oracle import train_stump as stump_oracle
 import tree_oracle
@@ -347,8 +351,28 @@ class TestTreeRoutingMatchesOracle:
         X = rng.normal(size=(90, 2))
         tree = train_random_tree(X, rng.integers(0, 3, 90), uniform_weights(90),
                                  max_depth=4, seed=2)
-        monkeypatch.setattr(learners, "_BLOCK_ELEMENTS", 4 * tree.value.size + 1)
+        # blocks of 4 rows: 22 full ones and a last one of 2
+        monkeypatch.setattr(learners, "_ROUTE_BYTES", 4 * (tree.split_nodes().size + 17) + 1)
         assert_routes_like_oracle(tree, X)
+
+    def test_filter_tree_sized_ensemble(self):
+        # the benchmark's tree ensemble: 10 partitions of 1000 scaled rows,
+        # 50 boosting rounds each; routed at the package's own block sizes
+        data, _ = min_max_scale(striped_ring_dataset(10_000, noise_fraction=0.2, seed=101))
+        trees = []
+        for part in partition(data, 10, seed=7):
+            E = adaboost_train(data.rows(part.indices), data.labels[part.indices], 50,
+                               LearnerConfig("tree"), seed=part.partition_id)
+            trees += [h for _, h in E.members]
+        assert len(trees) > 300
+        X = np.asfortranarray(np.vstack([data.features] * 2))
+        X[::97] = np.nan
+        X[5::89, 1] = np.nan
+        assert X.flags.f_contiguous
+        for tree in trees:
+            assert_routes_like_oracle(tree, X)
+            assert_routes_like_oracle(tree, X[7:8])
+            assert_routes_like_oracle(tree, X[:0])
 
     def test_deep_tree_arrays_sized_by_its_nodes(self):
         rng = np.random.default_rng(11)

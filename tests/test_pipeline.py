@@ -1,5 +1,6 @@
 import os
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -424,12 +425,44 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown format 'CSV'"):
             call(model_path, str(tmp_path / "missing.svm"), fmt="CSV")
 
+    @pytest.mark.parametrize("call", [evaluate, predict_labels])
+    @pytest.mark.parametrize("narrow", [False, True], ids=["full-width", "padded"])
+    def test_vote_sees_only_the_scaled_features(self, small_cfg, tmp_path, monkeypatch,
+                                                call, narrow):
+        run_training(small_cfg)
+        test_path = small_cfg.test_path
+        if narrow:  # only feature 1 of 2: padded before scaling
+            test_path = str(tmp_path / "narrow.svm")
+            with open(test_path, "w") as fh:
+                fh.write("0 1:-0.9\n1 1:0.4\n")
+        earlier = []  # the parsed features, and the padded ones
+        parse, scale, vote = pipeline._parse, pipeline.apply_scale, pipeline.global_predict_batch
+
+        def tracked_parse(*args):
+            data = parse(*args)
+            earlier.append(weakref.ref(data.features))
+            return data
+
+        def tracked_scale(spec, data):
+            earlier.append(weakref.ref(data.features))
+            return scale(spec, data)
+
+        def checked_vote(model, X):
+            assert len(earlier) == 2
+            assert [ref() for ref in earlier] == [None] * len(earlier)
+            return vote(model, X)
+
+        monkeypatch.setattr(pipeline, "_parse", tracked_parse)
+        monkeypatch.setattr(pipeline, "apply_scale", tracked_scale)
+        monkeypatch.setattr(pipeline, "global_predict_batch", checked_vote)
+        call(os.path.join(small_cfg.output_dir, "model.json"), test_path)
+
     @pytest.mark.parametrize("d", [2, 1])
     def test_scaled_features_are_column_major(self, small_cfg, d):
         model, _ = run_training(small_cfg)
         rng = np.random.default_rng(d)
         test = Dataset.from_arrays(rng.normal(size=(30, d)), np.zeros(30))
-        features = pipeline._prepare_eval_features(model, test)
+        features = pipeline._fit_to_model(model, test).features
         assert features.flags.f_contiguous
         assert np.array_equal(global_predict_batch(model, features),
                               global_predict_batch(model, np.ascontiguousarray(features)))
