@@ -41,7 +41,7 @@ _LOG_LEVELS = {
 
 
 def _add_format_args(sp):
-    sp.add_argument("--format", dest="fmt", choices=FORMATS, help="input file format")
+    sp.add_argument("--format", choices=FORMATS, help="input file format")
     sp.add_argument("--label-col", dest="label_column", metavar="LABEL_COL", type=int,
                     help="label column for csv input (0-based, -1 = last)")
 
@@ -49,7 +49,7 @@ def _add_format_args(sp):
 def _add_filter_args(sp):
     sp.add_argument("--partitions", type=int, help="number of data partitions")
     sp.add_argument("--nu", type=float, help="upper bound on the training outlier fraction")
-    sp.add_argument("--kernel", dest="kernel_kind", choices=KERNEL_KINDS)
+    sp.add_argument("--kernel", choices=KERNEL_KINDS)
     sp.add_argument("--gamma", type=float, help="rbf width (default: 1/num_features)")
     sp.add_argument("--grid-step", type=float, help="spacing of the retained-fraction grid")
     sp.add_argument("--seed", type=int)
@@ -127,7 +127,7 @@ def build_config(ns: argparse.Namespace) -> RunConfig:
 
 def _format_flags(ns: argparse.Namespace) -> dict:
     """The format flags given to evaluate or predict."""
-    return {k: v for k, v in vars(ns).items() if k in ("fmt", "label_column")}
+    return {k: v for k, v in vars(ns).items() if k in ("format", "label_column")}
 
 
 def _configure_logging() -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,28 +285,30 @@ def model_from_dict(doc: dict) -> GlobalModel:
         raise ValueError(
             f"model version {version!r} is newer than supported ({MODEL_VERSION})"
         )
-    label_names = list(doc["label_names"])
-    n_features = int(doc["n_features"])
-    scaling = None
-    if doc.get("scaling") is not None:
-        scaling = ScalingSpec(
-            np.asarray(doc["scaling"]["mins"], dtype=np.float64),
-            np.asarray(doc["scaling"]["maxs"], dtype=np.float64),
-        )
+    with _located("model"):
+        label_names = list(doc["label_names"])
+        n_features = int(doc["n_features"])
+        scaling = None
+        if doc.get("scaling") is not None:
+            scaling = ScalingSpec(
+                np.asarray(doc["scaling"]["mins"], dtype=np.float64),
+                np.asarray(doc["scaling"]["maxs"], dtype=np.float64),
+            )
+        ensemble_docs = doc["ensembles"]
     ensembles = []
-    for e in doc["ensembles"]:
-        pid = int(e["partition_id"])
-        knn = KnnReference.from_dict(e["knn"]) if "knn" in e else None
+    for i, e in enumerate(ensemble_docs):
+        where = f"partition {e['partition_id']}" if "partition_id" in e else f"ensemble {i}"
+        with _located(where):
+            pid = int(e["partition_id"])
+            beta = float(e["beta"])
+            knn = KnnReference.from_dict(e["knn"]) if "knn" in e else None
+            member_docs = e["members"]
         members = []
-        for j, m in enumerate(e["members"]):
-            try:
+        for j, m in enumerate(member_docs):
+            with _located(f"partition {pid}, member {j}"):
                 alpha = float(m["alpha"])
                 h = hypothesis_from_dict(m["hypothesis"], knn)
                 h.check(n_features, len(label_names))
-            except KeyError as exc:
-                raise ValueError(f"partition {pid}, member {j}: missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"partition {pid}, member {j}: {exc}") from None
             members.append((alpha, h))
         if knn is None:
             # version 1: every k-NN member carried its own copy of the references
@@ -315,11 +318,20 @@ def model_from_dict(doc: dict) -> GlobalModel:
                     (alpha, KnnHypothesis(knn, h.weights) if isinstance(h, KnnHypothesis) else h)
                     for alpha, h in members
                 ]
-        ensembles.append(
-            PartitionEnsemble(members, float(e["beta"]), pid, K=len(label_names))
-        )
+        ensembles.append(PartitionEnsemble(members, beta, pid, K=len(label_names)))
     return GlobalModel(ensembles, label_names, scaling, dict(doc.get("provenance", {})),
                        n_features)
+
+
+@contextmanager
+def _located(where: str):
+    """Re-raise a fault of a model document's part as a ValueError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def save_model(G: GlobalModel, path) -> None:

@@ -201,40 +201,26 @@ def train_stump(X, y, w, index: StumpIndex | None = None) -> DecisionStump:
 class RandomTree:
     """Randomized splitter; rows with x[feature] <= threshold go left.
 
-    ``root`` is the nested tree the model file stores. Prediction routes over
-    flat pre-order node arrays built from it once: ``feature``, ``threshold``,
+    The tree is four flat pre-order node arrays: ``feature``, ``threshold``,
     ``children`` (left and right of node i at 2i and 2i + 1) and ``value``. A
     leaf's children are the leaf itself and its threshold is +inf, so a row
-    that has reached a leaf stays there.
+    that has reached a leaf stays there. The nested tree of dicts is only the
+    model file's form, which ``to_dict`` writes and ``from_dict`` reads.
     """
 
     kind = "random_tree"
 
-    def __init__(self, root: dict, max_depth: int):
-        self.root = root
-        self.max_depth = max_depth
-        feature, threshold, children, value = [], [], [], []
-        self._depth = 0
-        stack = [(root, None, 0)]  # (node, its slot in children, its depth)
-        while stack:
-            node, slot, level = stack.pop()
-            i = len(value)
-            if slot is not None:
-                children[slot] = i
-            self._depth = max(self._depth, level)
-            leaf = "leaf" in node
-            if not leaf and not math.isfinite(node["threshold"]):
-                raise ValueError("tree threshold must be finite")
-            feature.append(0 if leaf else _integer("tree feature", node["feature"]))
-            threshold.append(math.inf if leaf else node["threshold"])
-            value.append(_integer("tree leaf class", node["leaf"]) if leaf else -1)
-            children += [i, i]
-            if not leaf:
-                stack += [(node["right"], 2 * i + 1, level + 1), (node["left"], 2 * i, level + 1)]
+    def __init__(self, feature, threshold, children, value, max_depth: int):
         self.feature = np.array(feature, dtype=np.intp)
         self.threshold = np.array(threshold, dtype=np.float64)
         self.children = np.array(children, dtype=np.intp)
         self.value = np.array(value, dtype=np.int64)
+        self.max_depth = max_depth
+        kids = self.children.tolist()
+        level = [0] * self.value.size  # pre-order: parents before children
+        for i in self.split_nodes().tolist():
+            level[kids[2 * i]] = level[kids[2 * i + 1]] = level[i] + 1
+        self._depth = max(level)
 
     def split_nodes(self) -> np.ndarray:
         """The internal nodes, in pre-order: those with a finite threshold."""
@@ -306,11 +292,36 @@ class RandomTree:
         _check_range("tree leaf class", np.delete(self.value, internal), K)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "max_depth": self.max_depth, "root": self.root}
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        kids, value = self.children.tolist(), self.value.tolist()
+        # children come after their parent, so a backward pass has them ready
+        nodes = [None] * len(value)
+        for i in reversed(range(len(value))):
+            nodes[i] = {"leaf": value[i]} if threshold[i] == math.inf else {
+                "feature": feature[i], "threshold": threshold[i],
+                "left": nodes[kids[2 * i]], "right": nodes[kids[2 * i + 1]]}
+        return {"kind": self.kind, "max_depth": self.max_depth, "root": nodes[0]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RandomTree":
-        return cls(doc["root"], int(doc["max_depth"]))
+        max_depth = _integer("tree max_depth", doc["max_depth"])
+        feature, threshold, children, value = [], [], [], []
+        stack = [(doc["root"], None)]  # (node, its slot in children)
+        while stack:
+            node, slot = stack.pop()
+            i = len(value)
+            if slot is not None:
+                children[slot] = i
+            leaf = "leaf" in node
+            if not leaf and not math.isfinite(node["threshold"]):
+                raise ValueError("tree threshold must be finite")
+            feature.append(0 if leaf else _integer("tree feature", node["feature"]))
+            threshold.append(math.inf if leaf else node["threshold"])
+            value.append(_integer("tree leaf class", node["leaf"]) if leaf else -1)
+            children += [i, i]
+            if not leaf:
+                stack += [(node["right"], 2 * i + 1), (node["left"], 2 * i)]
+        return cls(feature, threshold, children, value, max_depth)
 
 
 def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = None,
@@ -333,43 +344,44 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
     rng = np.random.default_rng(seed)
     n_classes = int(y.max()) + 1
 
-    def leaf(idx):
-        mass = _weighted_class_mass(y[idx], w[idx], n_classes)
-        return {"leaf": int(np.argmax(mass))}
+    feature, threshold, children, value = [], [], [], []
 
-    def build(idx, depth):
-        if depth >= max_depth or idx.size < 2 or np.all(y[idx] == y[idx[0]]):
-            return leaf(idx)
+    def build(idx, depth) -> int:
+        """Append the subtree over rows idx in pre-order; its root's index."""
+        i = len(value)
         best = None
-        best_score = math.inf
-        for _ in range(k_candidates):
-            f = int(rng.integers(d))
-            col = X[idx, f]
-            lo, hi = float(col.min()), float(col.max())
-            if lo == hi:
-                continue
-            thr = float(rng.uniform(lo, hi))
-            mask = col <= thr
-            if not mask.any() or mask.all():
-                continue
-            left_mass = _weighted_class_mass(y[idx[mask]], w[idx[mask]], n_classes)
-            right_mass = _weighted_class_mass(y[idx[~mask]], w[idx[~mask]], n_classes)
-            score = (left_mass.sum() * _weighted_gini(left_mass)
-                     + right_mass.sum() * _weighted_gini(right_mass))
-            if score < best_score:
-                best_score = score
-                best = (f, thr, mask)
-        if best is None:
-            return leaf(idx)
-        f, thr, mask = best
-        return {
-            "feature": f,
-            "threshold": thr,
-            "left": build(idx[mask], depth + 1),
-            "right": build(idx[~mask], depth + 1),
-        }
+        if depth < max_depth and idx.size >= 2 and not np.all(y[idx] == y[idx[0]]):
+            best_score = math.inf
+            for _ in range(k_candidates):
+                f = int(rng.integers(d))
+                col = X[idx, f]
+                lo, hi = float(col.min()), float(col.max())
+                if lo == hi:
+                    continue
+                thr = float(rng.uniform(lo, hi))
+                mask = col <= thr
+                if not mask.any() or mask.all():
+                    continue
+                left_mass = _weighted_class_mass(y[idx[mask]], w[idx[mask]], n_classes)
+                right_mass = _weighted_class_mass(y[idx[~mask]], w[idx[~mask]], n_classes)
+                score = (left_mass.sum() * _weighted_gini(left_mass)
+                         + right_mass.sum() * _weighted_gini(right_mass))
+                if score < best_score:
+                    best_score = score
+                    best = (f, thr, mask)
+        f, thr, mask = best or (0, math.inf, None)  # a leaf: feature 0, threshold +inf
+        feature.append(f)
+        threshold.append(thr)
+        value.append(-1 if best else
+                     int(np.argmax(_weighted_class_mass(y[idx], w[idx], n_classes))))
+        children.extend((i, i))
+        if best:
+            children[2 * i] = build(idx[mask], depth + 1)
+            children[2 * i + 1] = build(idx[~mask], depth + 1)
+        return i
 
-    return RandomTree(build(np.arange(n), 0), max_depth)
+    build(np.arange(n), 0)
+    return RandomTree(feature, threshold, children, value, max_depth)
 
 
 def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
@@ -445,7 +457,8 @@ class KnnReference:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnnReference":
-        return cls(doc["refs"], doc["labels"], int(doc["k"]))
+        labels = [_integer("k-NN reference label", v) for v in doc["labels"]]
+        return cls(doc["refs"], labels, _integer("k-NN k", doc["k"]))
 
 
 class KnnHypothesis:

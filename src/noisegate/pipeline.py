@@ -89,11 +89,11 @@ class RunConfig:
     train_path: str
     output_dir: str
     test_path: str | None = None
-    fmt: str = "libsvm"
+    format: str = "libsvm"
     label_column: int = -1
     partitions: int = 50
     nu: float = 0.5
-    kernel_kind: str = "rbf"
+    kernel: str = "rbf"
     gamma: float | None = None
     grid_step: float = 0.05
     learner: LearnerConfig = field(default_factory=LearnerConfig)
@@ -106,11 +106,11 @@ class RunConfig:
 
     def validate(self) -> None:
         """Reject a bad setting before any file is read."""
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}")
+        if self.format not in FORMATS:
+            raise ValueError(f"unknown format {self.format!r}")
         check_nu(self.nu)
         # the kernel and grid constructors hold the rules for kind, gamma and step
-        self.kernel(1)
+        self.kernel_spec(1)
         default_grid(self.grid_step)
         if self.partitions < 1:
             raise ValueError("partition count must be >= 1")
@@ -121,32 +121,18 @@ class RunConfig:
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
 
-    def kernel(self, d: int) -> KernelSpec:
+    def kernel_spec(self, d: int) -> KernelSpec:
         """The filter kernel for d features: an rbf kernel without a gamma
         gets 1/d."""
-        if self.kernel_kind == "rbf" and self.gamma is None:
+        if self.kernel == "rbf" and self.gamma is None:
             return default_kernel(d)
-        return KernelSpec(self.kernel_kind, self.gamma)
+        return KernelSpec(self.kernel, self.gamma)
 
     def snapshot(self) -> dict:
-        return {
-            "train_path": self.train_path,
-            "test_path": self.test_path,
-            "format": self.fmt,
-            "label_column": self.label_column,
-            "partitions": self.partitions,
-            "nu": self.nu,
-            "kernel": self.kernel_kind,
-            "gamma": self.gamma,
-            "grid_step": self.grid_step,
-            "learner": asdict(self.learner),
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "filtering": self.filtering,
-            "beta_mode": self.beta_mode,
-            "scaling": self.scaling,
-            "repetitions": self.repetitions,
-        }
+        """The settings a report records: every field but ``output_dir``."""
+        settings = asdict(self)
+        del settings["output_dir"]
+        return settings
 
 
 @dataclass
@@ -196,14 +182,14 @@ class EvalReport:
         }
 
 
-def _parse(path, fmt: str, label_column: int) -> Dataset:
+def _parse(path, format: str, label_column: int) -> Dataset:
     """Read and parse the file at path; a format outside FORMATS is rejected
     before the file is opened."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}")
     with open(path) as fh:
         text = fh.read()
-    if fmt == "csv":
+    if format == "csv":
         return parse_csv(text, label_column)
     return parse_libsvm(text)
 
@@ -211,7 +197,7 @@ def _parse(path, fmt: str, label_column: int) -> Dataset:
 def _parse_training(cfg: RunConfig) -> Dataset:
     """The training file of cfg, parsed; a single-class file is rejected,
     since no partition of it can be filtered by class impurity or boosted."""
-    train = _parse(cfg.train_path, cfg.fmt, cfg.label_column)
+    train = _parse(cfg.train_path, cfg.format, cfg.label_column)
     if train.K < 2:
         raise ValueError("training data has a single class")
     return train
@@ -311,29 +297,16 @@ def _partition_stage(part, data, cfg, kernel, grid, rep_seed):
         n_clean = len(clean_idx)
         train_sel, holdout_sel = _holdout_split(n_clean, cfg.beta_mode, holdout_seed)
 
-        ensemble = adaboost_train(
-            X[train_sel],
-            y[train_sel],
-            cfg.rounds,
-            cfg.learner,
-            seed=derive_seed(rep_seed, _STREAM_BOOST, pid),
-            n_classes=data.K,
-            partition_id=pid,
-        )
+        ensemble = adaboost_train(X[train_sel], y[train_sel], cfg.rounds, cfg.learner,
+                                  seed=derive_seed(rep_seed, _STREAM_BOOST, pid),
+                                  n_classes=data.K, partition_id=pid)
         sel = holdout_sel if holdout_sel is not None else train_sel
         compute_beta(ensemble, X[sel], y[sel])
 
         summary = PartitionSummary(
-            partition_id=pid,
-            size=part.size,
-            retained=n_clean,
-            removed=part.size - n_clean,
-            chosen_p=chosen_p,
-            gini_clean=g_clean,
-            gini_noisy=g_noisy,
-            ratio=ratio,
-            beta=ensemble.beta,
-        )
+            partition_id=pid, size=part.size, retained=n_clean, removed=part.size - n_clean,
+            chosen_p=chosen_p, gini_clean=g_clean, gini_noisy=g_noisy, ratio=ratio,
+            beta=ensemble.beta)
         return ensemble, summary
     except Exception as exc:
         raise PartitionError(pid, exc) from exc
@@ -352,7 +325,7 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
 
     t0 = time.perf_counter()
     train = _parse_training(cfg)
-    test = _parse(cfg.test_path, cfg.fmt, cfg.label_column) if cfg.test_path else None
+    test = _parse(cfg.test_path, cfg.format, cfg.label_column) if cfg.test_path else None
     timings["parse"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -362,7 +335,7 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
         working, scaling_spec = min_max_scale(train)
     timings["scale"] = time.perf_counter() - t0
 
-    kernel = cfg.kernel(train.d)
+    kernel = cfg.kernel_spec(train.d)
     grid = default_grid(cfg.grid_step)
     snapshot = cfg.snapshot()
 
@@ -429,11 +402,11 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
     return first_model, report
 
 
-def evaluate(model_path, test_path, fmt: str = "libsvm", label_column: int = -1) -> dict:
+def evaluate(model_path, test_path, format: str = "libsvm", label_column: int = -1) -> dict:
     """Score a saved model against a test file."""
     model = load_model(model_path)
     # the parsed and padded arrays are freed before the vote
-    test = _fit_to_model(model, _parse(test_path, fmt, label_column))
+    test = _fit_to_model(model, _parse(test_path, format, label_column))
     accuracy, confusion, unseen = evaluate_model(model, test)
     return {
         "accuracy": accuracy,
@@ -444,10 +417,11 @@ def evaluate(model_path, test_path, fmt: str = "libsvm", label_column: int = -1)
     }
 
 
-def predict_labels(model_path, data_path, fmt: str = "libsvm", label_column: int = -1) -> list[str]:
+def predict_labels(model_path, data_path, format: str = "libsvm",
+                   label_column: int = -1) -> list[str]:
     """Predicted label tokens, one per input row."""
     model = load_model(model_path)
-    features = _fit_to_model(model, _parse(data_path, fmt, label_column)).features
+    features = _fit_to_model(model, _parse(data_path, format, label_column)).features
     return [model.label_names[p] for p in global_predict_batch(model, features)]
 
 
@@ -464,7 +438,7 @@ def gini_scan(cfg: RunConfig) -> dict:
     cfg.validate()
     train = _parse_training(cfg)
     working = min_max_scale(train)[0] if cfg.scaling else train
-    kernel = cfg.kernel(train.d)
+    kernel = cfg.kernel_spec(train.d)
     grid = default_grid(cfg.grid_step)
     parts = make_partitions(working, cfg.partitions, derive_seed(cfg.seed, _STREAM_PARTITION))
 

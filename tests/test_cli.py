@@ -60,8 +60,8 @@ class TestParsing:
             "--beta-mode", "train", "--reps", "3",
         ])
         assert build_config(ns) == RunConfig(
-            "a.csv", "d/", test_path="b.csv", fmt="csv", label_column=0, partitions=7,
-            nu=0.25, kernel_kind="rbf", gamma=0.75, grid_step=0.1, seed=9, scaling=False,
+            "a.csv", "d/", test_path="b.csv", format="csv", label_column=0, partitions=7,
+            nu=0.25, kernel="rbf", gamma=0.75, grid_step=0.1, seed=9, scaling=False,
             learner=LearnerConfig("knn"), rounds=11, filtering=False, beta_mode="train",
             repetitions=3,
         )
@@ -318,6 +318,11 @@ def _tree_string_leaf(doc):
     return j
 
 
+def _tree_string_max_depth(doc):
+    doc["ensembles"][0]["members"][0]["hypothesis"]["max_depth"] = "4"
+    return 0
+
+
 def _stump_class_k(doc):
     doc["ensembles"][0]["members"][0]["hypothesis"]["right"] = len(doc["label_names"])
     return 0
@@ -344,6 +349,19 @@ def _knn_width(doc):
     return 0
 
 
+# the reference set belongs to the ensemble, so these faults name no member
+def _knn_float_label(doc):
+    doc["ensembles"][0]["knn"]["labels"][0] = 0.7
+
+
+def _knn_string_label(doc):
+    doc["ensembles"][0]["knn"]["labels"][-1] = "1"
+
+
+def _knn_string_k(doc):
+    doc["ensembles"][0]["knn"]["k"] = "1"
+
+
 class TestCorruptMembers:
     @pytest.mark.parametrize("kind, corrupt, message", [
         ("tree", _tree_leaf_k, "tree leaf class 2 is not in [0, 2)"),
@@ -351,14 +369,19 @@ class TestCorruptMembers:
         ("tree", _tree_nan_threshold, "tree threshold must be finite"),
         ("tree", _tree_missing_right, "missing key 'right'"),
         ("tree", _tree_string_leaf, "tree leaf class must be an integer, got '1'"),
+        ("tree", _tree_string_max_depth, "tree max_depth must be an integer, got '4'"),
         ("stump", _stump_class_k, "stump class 2 is not in [0, 2)"),
         ("stump", _stump_feature, "stump feature 2 is not in [0, 2)"),
         ("stump", _stump_bool_feature, "stump feature must be an integer, got True"),
         ("knn", _knn_label_k, "k-NN reference label 2 is not in [0, 2)"),
         ("knn", _knn_width, "k-NN references have 3 features, not 2"),
+        ("knn", _knn_float_label, "k-NN reference label must be an integer, got 0.7"),
+        ("knn", _knn_string_label, "k-NN reference label must be an integer, got '1'"),
+        ("knn", _knn_string_k, "k-NN k must be an integer, got '1'"),
     ], ids=["tree-leaf", "tree-feature", "tree-nan-threshold", "tree-missing-right",
-            "tree-string-leaf", "stump-class", "stump-feature", "stump-bool-feature",
-            "knn-label", "knn-width"])
+            "tree-string-leaf", "tree-string-max-depth", "stump-class", "stump-feature",
+            "stump-bool-feature", "knn-label", "knn-width", "knn-float-label",
+            "knn-string-label", "knn-string-k"])
     def test_evaluate_rejects_member(self, trained_models, tmp_path, capsys, kind, corrupt,
                                      message):
         doc, test = trained_models[kind]
@@ -367,5 +390,33 @@ class TestCorruptMembers:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         assert main(["evaluate", "--model", str(path), "--test", test]) == 3
+        where = f"partition {doc['ensembles'][0]['partition_id']}"
+        if member is not None:
+            where += f", member {member}"
+        assert capsys.readouterr() == ("", f"error: {where}: {message}\n")
+
+
+class TestCorruptModel:
+    @pytest.mark.parametrize("kind, path, where", [
+        ("tree", ["label_names"], "model"),
+        ("tree", ["n_features"], "model"),
+        ("tree", ["ensembles"], "model"),
+        ("tree", ["ensembles", 0, "partition_id"], "ensemble 0"),
+        ("tree", ["ensembles", 0, "beta"], "partition {pid}"),
+        ("tree", ["ensembles", 0, "members"], "partition {pid}"),
+        ("knn", ["ensembles", 0, "knn", "refs"], "partition {pid}"),
+    ], ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)))
+    def test_evaluate_rejects_missing_key(self, trained_models, tmp_path, capsys, kind, path,
+                                          where):
+        doc, test = trained_models[kind]
+        doc = json.loads(json.dumps(doc))
         pid = doc["ensembles"][0]["partition_id"]
-        assert capsys.readouterr() == ("", f"error: partition {pid}, member {member}: {message}\n")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert main(["evaluate", "--model", str(model), "--test", test]) == 3
+        where = where.format(pid=pid)
+        assert capsys.readouterr() == ("", f"error: {where}: missing key '{path[-1]}'\n")

@@ -218,7 +218,7 @@ class TestRandomTree:
     def test_pure_node_is_leaf(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
         tree = train_random_tree(X, np.full(10, 3), uniform_weights(10), max_depth=4, seed=1)
-        assert tree.root == {"leaf": 3}
+        assert tree.to_dict()["root"] == {"leaf": 3}
 
     def test_xor_solved_at_depth_two(self):
         w = uniform_weights(4)
@@ -286,6 +286,11 @@ def on_every_threshold(tree, X):
     return np.vstack(copies)
 
 
+def from_root(root, max_depth):
+    """The tree a model file stores as this nested root."""
+    return RandomTree.from_dict({"kind": RandomTree.kind, "max_depth": max_depth, "root": root})
+
+
 HAND_TREE = {
     "feature": 1, "threshold": 0.5,
     "left": {"leaf": 0},
@@ -304,7 +309,7 @@ class TestTreeRoutingMatchesOracle:
         probes[-5:, rng.integers(3)] = np.nan  # fails <= at any node: goes right
         for max_depth in range(1, 9):
             tree = train_random_tree(X, y, w, max_depth=max_depth, seed=max_depth)
-            assert tree.depth() == tree_oracle.depth(tree.root) <= max_depth
+            assert tree.depth() == tree_oracle.depth(tree.to_dict()["root"]) <= max_depth
             assert_routes_like_oracle(tree, probes)
 
     def test_rows_on_a_threshold_go_left(self):
@@ -314,7 +319,7 @@ class TestTreeRoutingMatchesOracle:
         tree = train_random_tree(X, y, uniform_weights(80), max_depth=6, seed=4)
         assert tree.split_nodes().size > 3
         assert_routes_like_oracle(tree, on_every_threshold(tree, X))
-        hand = RandomTree(HAND_TREE, 2)
+        hand = from_root(HAND_TREE, 2)
         rows = np.array([[5.0, 0.5], [-1.0, 0.6], [np.nan, 0.6], [0.0, np.nan]])
         assert hand.predict(rows).tolist() == [0, 1, 2, 2]
 
@@ -328,7 +333,7 @@ class TestTreeRoutingMatchesOracle:
             assert_routes_like_oracle(tree, on_every_threshold(tree, X))
 
     def test_root_leaf(self):
-        tree = RandomTree({"leaf": 2}, 3)
+        tree = from_root({"leaf": 2}, 3)
         assert tree.depth() == 0
         assert tree.children.tolist() == [0, 0]
         assert tree.predict(np.zeros((4, 2))).tolist() == [2, 2, 2, 2]
@@ -379,17 +384,29 @@ class TestTreeRoutingMatchesOracle:
         X = rng.normal(size=(300, 3))
         y = rng.integers(0, 4, 300)
         tree = train_random_tree(X, y, uniform_weights(300), max_depth=30, seed=0)
-        n_nodes = tree_oracle.node_count(tree.root)
-        assert tree.depth() == tree_oracle.depth(tree.root) > 8
+        root = tree.to_dict()["root"]
+        n_nodes = tree_oracle.node_count(root)
+        assert tree.depth() == tree_oracle.depth(root) > 8
         for arr in (tree.feature, tree.threshold, tree.value):
             assert arr.shape == (n_nodes,)
         assert tree.children.shape == (2 * n_nodes,)
         assert_routes_like_oracle(tree, np.vstack([X, rng.normal(size=(100, 3))]))
 
 
+def assert_nested_types(node):
+    """int features and leaves, float thresholds, keys in the file's order."""
+    if "leaf" in node:
+        assert list(node) == ["leaf"] and type(node["leaf"]) is int
+        return
+    assert list(node) == ["feature", "threshold", "left", "right"]
+    assert type(node["feature"]) is int and type(node["threshold"]) is float
+    assert_nested_types(node["left"])
+    assert_nested_types(node["right"])
+
+
 class TestTreeLayout:
     def test_pre_order_arrays(self):
-        tree = RandomTree(HAND_TREE, 2)
+        tree = from_root(HAND_TREE, 2)
         assert tree.feature.tolist() == [1, 0, 0, 0, 0]
         assert tree.threshold.tolist() == [0.5, np.inf, -1.0, np.inf, np.inf]
         assert tree.children.tolist() == [1, 2, 1, 1, 3, 4, 3, 3, 4, 4]
@@ -418,10 +435,37 @@ class TestTreeLayout:
         assert json.dumps(tree.to_dict()) == before
         assert set(tree.to_dict()) == {"kind", "max_depth", "root"}
 
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_document_round_trip_keeps_its_bytes(self, K):
+        rng = np.random.default_rng(20 + K)
+        X = rng.normal(size=(120, 3))
+        X[:, 1] = 0.5  # a constant column never splits
+        y = rng.integers(0, K, 120)
+        w = random_weights(rng, 120)
+        trees = [train_random_tree(X, y, w, max_depth=d, seed=d) for d in (1, 4, 30)]
+        # leaf-only roots: a pure node, and no column that splits
+        trees += [train_random_tree(X, np.full(120, K - 1), w, seed=0),
+                  train_random_tree(np.zeros_like(X), y, w, seed=0)]
+        assert trees[2].depth() > 4 and trees[-1].depth() == trees[-2].depth() == 0
+        for tree in trees:
+            doc = tree.to_dict()
+            assert_nested_types(doc["root"])
+            back = RandomTree.from_dict(json.loads(json.dumps(doc)))
+            assert json.dumps(back.to_dict()) == json.dumps(doc)
+            for t in (tree, back):
+                assert not hasattr(t, "root")
+                assert all(isinstance(v, (np.ndarray, int)) for v in vars(t).values())
+
+    @pytest.mark.parametrize("max_depth", ["4", 4.0, True])
+    def test_non_integer_max_depth_rejected(self, max_depth):
+        with pytest.raises(ValueError, match="tree max_depth must be an integer"):
+            RandomTree.from_dict({"kind": "random_tree", "max_depth": max_depth,
+                                  "root": {"leaf": 0}})
+
     def test_non_finite_threshold_rejected(self):
         with pytest.raises(ValueError, match="tree threshold must be finite"):
-            RandomTree({"feature": 0, "threshold": float("nan"),
-                        "left": {"leaf": 0}, "right": {"leaf": 1}}, 1)
+            from_root({"feature": 0, "threshold": float("nan"),
+                       "left": {"leaf": 0}, "right": {"leaf": 1}}, 1)
 
 
 class TestKnn:
@@ -564,6 +608,17 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             hypothesis_from_dict({"kind": "perceptron"})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"labels": [0.7, 1]}, "k-NN reference label must be an integer, got 0.7"),
+        ({"labels": [0, "1"]}, "k-NN reference label must be an integer, got '1'"),
+        ({"k": "1"}, "k-NN k must be an integer, got '1'"),
+    ])
+    def test_knn_reference_rejects_non_integers(self, fields, message):
+        doc = {"refs": [[0.0, 1.0], [1.0, 0.0]], "labels": [0, 1], "k": 1, **fields}
+        with pytest.raises(ValueError) as err:
+            KnnReference.from_dict(doc)
+        assert str(err.value) == message
 
 
 def test_validate_weights_shape():

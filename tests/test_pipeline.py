@@ -54,7 +54,7 @@ BAD_FILTER_SETTINGS = {
     "gamma=0": ({"gamma": 0.0}, "gamma > 0"),
     "gamma=nan": ({"gamma": float("nan")}, "gamma > 0"),
     "gamma=inf": ({"gamma": float("inf")}, "gamma > 0"),
-    "linear-with-gamma": ({"kernel_kind": "linear", "gamma": 0.5}, "only meaningful"),
+    "linear-with-gamma": ({"kernel": "linear", "gamma": 0.5}, "only meaningful"),
     "grid_step=0": ({"grid_step": 0.0}, "grid step"),
     "grid_step=1": ({"grid_step": 1.0}, "grid step"),
     "grid_step=1-1e-10": ({"grid_step": 1 - 1e-10}, "grid step"),
@@ -309,7 +309,7 @@ class TestRunTraining:
             run_training(small_cfg)
 
     def test_unknown_kernel_kind_rejected(self, small_cfg):
-        small_cfg.kernel_kind = "poly"
+        small_cfg.kernel = "poly"
         with pytest.raises(ValueError, match="kernel"):
             run_training(small_cfg)
 
@@ -419,11 +419,11 @@ class TestEvaluate:
     def test_unknown_format_rejected_before_reading(self, small_cfg, tmp_path, call):
         run_training(small_cfg)
         model_path = os.path.join(small_cfg.output_dir, "model.json")
-        # a LIBSVM file under fmt="CSV" used to be read as LIBSVM
+        # a LIBSVM file under format="CSV" used to be read as LIBSVM
         with pytest.raises(ValueError, match="unknown format 'CSV'"):
-            call(model_path, small_cfg.test_path, fmt="CSV")
+            call(model_path, small_cfg.test_path, format="CSV")
         with pytest.raises(ValueError, match="unknown format 'CSV'"):
-            call(model_path, str(tmp_path / "missing.svm"), fmt="CSV")
+            call(model_path, str(tmp_path / "missing.svm"), format="CSV")
 
     @pytest.mark.parametrize("call", [evaluate, predict_labels])
     @pytest.mark.parametrize("narrow", [False, True], ids=["full-width", "padded"])
@@ -495,7 +495,7 @@ class TestGiniScan:
     def test_unknown_kernel_kind_rejected(self, tmp_path):
         path = write_dataset(tmp_path / "d.svm", ring_noise_dataset(40, 0.1, seed=3))
         with pytest.raises(ValueError, match="kernel"):
-            gini_scan(RunConfig(path, str(tmp_path / "scan"), kernel_kind="poly", partitions=2))
+            gini_scan(RunConfig(path, str(tmp_path / "scan"), kernel="poly", partitions=2))
 
     def test_single_class_rejected_before_writing(self, tmp_path):
         # as train rejects it: no partition of one class has an impurity to scan

@@ -1,4 +1,5 @@
-"""Reference random-tree routing: recursion over the nested ``root`` tree.
+"""Reference random-tree routing: recursion over the nested tree that
+``to_dict()["root"]`` writes.
 
 Kept independent of the package's flat node arrays: every node splits the
 row indices that reached it into ``X[idx, feature] <= threshold`` (left) and
@@ -14,7 +15,7 @@ import numpy as np
 def predict(tree, X) -> np.ndarray:
     X = np.atleast_2d(X)
     out = np.empty(X.shape[0], dtype=np.int64)
-    _route(tree.root, X, np.arange(X.shape[0]), out)
+    _route(tree.to_dict()["root"], X, np.arange(X.shape[0]), out)
     return out
 
 
