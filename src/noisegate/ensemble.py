@@ -19,6 +19,7 @@ from .learners import (
     KnnHypothesis,
     KnnReference,
     StumpIndex,
+    _number,
     hypothesis_from_dict,
     train_random_tree,
     train_stump,
@@ -70,7 +71,7 @@ class PartitionEnsemble:
     trace: BoostTrace | None = None
 
     def __post_init__(self):
-        if any(alpha <= 0 for alpha, _ in self.members):
+        if any(not alpha > 0 for alpha, _ in self.members):  # NaN too
             raise ValueError("member vote weights must be positive")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
@@ -278,6 +279,8 @@ def _shared_reference(partition_id: int, hypotheses) -> KnnReference | None:
 
 
 def model_from_dict(doc: dict) -> GlobalModel:
+    with _located("model"):
+        _json_object(doc)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError("not an ensemble model document")
     version = doc.get("version")
@@ -295,18 +298,22 @@ def model_from_dict(doc: dict) -> GlobalModel:
                 np.asarray(doc["scaling"]["maxs"], dtype=np.float64),
             )
         ensemble_docs = doc["ensembles"]
+        if not isinstance(ensemble_docs, list):
+            raise TypeError(f"ensembles must be a JSON array, got {type(ensemble_docs).__name__}")
     ensembles = []
     for i, e in enumerate(ensemble_docs):
+        with _located(f"ensemble {i}"):
+            _json_object(e)
         where = f"partition {e['partition_id']}" if "partition_id" in e else f"ensemble {i}"
         with _located(where):
             pid = int(e["partition_id"])
-            beta = float(e["beta"])
+            beta = _number("beta", e["beta"])
             knn = KnnReference.from_dict(e["knn"]) if "knn" in e else None
             member_docs = e["members"]
         members = []
         for j, m in enumerate(member_docs):
             with _located(f"partition {pid}, member {j}"):
-                alpha = float(m["alpha"])
+                alpha = _number("alpha", m["alpha"])
                 h = hypothesis_from_dict(m["hypothesis"], knn)
                 h.check(n_features, len(label_names))
             members.append((alpha, h))
@@ -321,6 +328,11 @@ def model_from_dict(doc: dict) -> GlobalModel:
         ensembles.append(PartitionEnsemble(members, beta, pid, K=len(label_names)))
     return GlobalModel(ensembles, label_names, scaling, dict(doc.get("provenance", {})),
                        n_features)
+
+
+def _json_object(doc) -> None:
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
 
 
 @contextmanager

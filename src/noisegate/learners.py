@@ -21,6 +21,8 @@ def validate_weights(w, n: int) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError(f"expected {n} weights, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if (w < 0).any():
         raise ValueError("weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-9:
@@ -46,6 +48,14 @@ def _integer(what: str, value) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _number(what: str, value) -> float:
+    """value as a float when it is an int or a float; a model file's "0.5" or
+    true is rejected rather than converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _check_range(what: str, values, stop: int) -> None:
@@ -89,7 +99,8 @@ class DecisionStump:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionStump":
-        return cls(_integer("stump feature", doc["feature"]), float(doc["threshold"]),
+        return cls(_integer("stump feature", doc["feature"]),
+                   _number("stump threshold", doc["threshold"]),
                    _integer("stump class", doc["left"]), _integer("stump class", doc["right"]))
 
 
@@ -313,10 +324,11 @@ class RandomTree:
             if slot is not None:
                 children[slot] = i
             leaf = "leaf" in node
-            if not leaf and not math.isfinite(node["threshold"]):
+            thr = math.inf if leaf else _number("tree threshold", node["threshold"])
+            if not leaf and not math.isfinite(thr):
                 raise ValueError("tree threshold must be finite")
             feature.append(0 if leaf else _integer("tree feature", node["feature"]))
-            threshold.append(math.inf if leaf else node["threshold"])
+            threshold.append(thr)
             value.append(_integer("tree leaf class", node["leaf"]) if leaf else -1)
             children += [i, i]
             if not leaf:
@@ -388,18 +400,27 @@ def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries per row, in exactly the order
     ``np.argsort(d2, axis=1, kind="stable")[:, :k]`` gives them.
 
-    A partial selection finds the k candidates; they are ordered by
-    (distance, index). A row whose k-th distance is tied with an entry left
-    outside the candidates falls back to the full stable sort, so the lower
-    index always wins a tie.
+    Each of k passes takes every row's first (lowest-index) minimum and masks
+    it with +inf; d2 is restored before returning. While the picked values
+    are finite, each pick is the least unpicked value with ties to the lower
+    index. A row where some pick is not (a NaN, or +inf within reach) falls
+    back to the full stable sort.
     """
-    cand = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
-    vals = np.take_along_axis(d2, cand, axis=1)
-    out = np.take_along_axis(cand, np.argsort(vals, axis=1, kind="stable"), axis=1)
-    kth = vals.max(axis=1, keepdims=True)
-    ambiguous = np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != k)
-    if ambiguous.size:
-        out[ambiguous] = np.argsort(d2[ambiguous], axis=1, kind="stable")[:, :k]
+    rows = np.arange(d2.shape[0])
+    out = np.empty((d2.shape[0], k), dtype=np.intp)
+    picked = np.empty((d2.shape[0], k))
+    for j in range(k):
+        col = d2.argmin(axis=1)
+        out[:, j] = col
+        picked[:, j] = d2[rows, col]
+        d2[rows, col] = np.inf
+    # reverse order: a pick taken twice (masked, then picked as +inf) gets
+    # its first recorded value back last
+    for j in reversed(range(k)):
+        d2[rows, out[:, j]] = picked[:, j]
+    odd = np.flatnonzero(~np.isfinite(picked).all(axis=1))
+    if odd.size:
+        out[odd] = np.argsort(d2[odd], axis=1, kind="stable")[:, :k]
     return out
 
 
@@ -458,7 +479,15 @@ class KnnReference:
     @classmethod
     def from_dict(cls, doc: dict) -> "KnnReference":
         labels = [_integer("k-NN reference label", v) for v in doc["labels"]]
-        return cls(doc["refs"], labels, _integer("k-NN k", doc["k"]))
+        refs = doc["refs"]
+        if not {type(v) for row in refs for v in row} <= {int, float}:
+            for row in refs:
+                for v in row:
+                    _number("k-NN reference", v)
+        refs = np.array(refs, dtype=np.float64)
+        if not np.isfinite(refs).all():
+            raise ValueError("k-NN references must be finite")
+        return cls(refs, labels, _integer("k-NN k", doc["k"]))
 
 
 class KnnHypothesis:
@@ -474,12 +503,19 @@ class KnnHypothesis:
         """Class with the largest summed weight among each row's neighbours,
         given ``reference.neighbours(X)``; vote ties take the lower class id.
         """
-        n = nearest.shape[0]
-        votes = np.zeros((n, self.reference.n_classes))
-        rows = np.repeat(np.arange(n), nearest.shape[1])
-        np.add.at(votes, (rows, self.reference.labels[nearest].ravel()),
-                  self.weights[nearest].ravel())
-        return np.argmax(votes, axis=1)
+        return np.argmax(self._vote_sums(nearest), axis=1)
+
+    def _vote_sums(self, nearest: np.ndarray) -> np.ndarray:
+        """Summed neighbour weight per (row, class). One bincount over the flat
+        index row * C + label adds the weights in input order from 0.0, as
+        ``np.add.at`` on a (rows, C) array does, so the sums are its bits.
+        """
+        n, C = nearest.shape[0], self.reference.n_classes
+        flat = self.reference.labels[nearest]
+        flat += np.arange(0, n * C, C)[:, None]
+        votes = np.bincount(flat.ravel(), weights=self.weights[nearest].ravel(),
+                            minlength=n * C)
+        return votes.reshape(n, C)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.vote(self.reference.neighbours(X))

@@ -338,6 +338,27 @@ def _stump_bool_feature(doc):
     return 0
 
 
+def _stump_bool_threshold(doc):
+    doc["ensembles"][0]["members"][0]["hypothesis"]["threshold"] = True
+    return 0
+
+
+def _tree_string_threshold(doc):
+    j, root = _first_split(doc)
+    root["threshold"] = "0.5"
+    return j
+
+
+def _bool_alpha(doc):
+    doc["ensembles"][0]["members"][0]["alpha"] = True
+    return 0
+
+
+def _knn_nan_weight(doc):
+    doc["ensembles"][0]["members"][0]["hypothesis"]["weights"][0] = float("nan")
+    return 0
+
+
 def _knn_label_k(doc):
     doc["ensembles"][0]["knn"]["labels"][-1] = len(doc["label_names"])
     return 0
@@ -362,6 +383,18 @@ def _knn_string_k(doc):
     doc["ensembles"][0]["knn"]["k"] = "1"
 
 
+def _knn_nan_ref(doc):
+    doc["ensembles"][0]["knn"]["refs"][-1][0] = float("nan")
+
+
+def _knn_string_ref(doc):
+    doc["ensembles"][0]["knn"]["refs"][0][1] = "0.5"
+
+
+def _string_beta(doc):
+    doc["ensembles"][0]["beta"] = "0.5"
+
+
 class TestCorruptMembers:
     @pytest.mark.parametrize("kind, corrupt, message", [
         ("tree", _tree_leaf_k, "tree leaf class 2 is not in [0, 2)"),
@@ -378,10 +411,19 @@ class TestCorruptMembers:
         ("knn", _knn_float_label, "k-NN reference label must be an integer, got 0.7"),
         ("knn", _knn_string_label, "k-NN reference label must be an integer, got '1'"),
         ("knn", _knn_string_k, "k-NN k must be an integer, got '1'"),
+        ("stump", _stump_bool_threshold, "stump threshold must be a number, got True"),
+        ("tree", _tree_string_threshold, "tree threshold must be a number, got '0.5'"),
+        ("tree", _bool_alpha, "alpha must be a number, got True"),
+        ("tree", _string_beta, "beta must be a number, got '0.5'"),
+        ("knn", _knn_nan_weight, "weights must be finite"),
+        ("knn", _knn_nan_ref, "k-NN references must be finite"),
+        ("knn", _knn_string_ref, "k-NN reference must be a number, got '0.5'"),
     ], ids=["tree-leaf", "tree-feature", "tree-nan-threshold", "tree-missing-right",
             "tree-string-leaf", "tree-string-max-depth", "stump-class", "stump-feature",
             "stump-bool-feature", "knn-label", "knn-width", "knn-float-label",
-            "knn-string-label", "knn-string-k"])
+            "knn-string-label", "knn-string-k", "stump-bool-threshold",
+            "tree-string-threshold", "bool-alpha", "string-beta", "knn-nan-weight",
+            "knn-nan-ref", "knn-string-ref"])
     def test_evaluate_rejects_member(self, trained_models, tmp_path, capsys, kind, corrupt,
                                      message):
         doc, test = trained_models[kind]
@@ -420,3 +462,20 @@ class TestCorruptModel:
         assert main(["evaluate", "--model", str(model), "--test", test]) == 3
         where = where.format(pid=pid)
         assert capsys.readouterr() == ("", f"error: {where}: missing key '{path[-1]}'\n")
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: [doc], "model: expected a JSON object, got list"),
+        (lambda doc: {**doc, "ensembles": [1] + doc["ensembles"]},
+         "ensemble 0: expected a JSON object, got int"),
+        (lambda doc: {**doc, "ensembles": doc["ensembles"] + [[]]},
+         "ensemble {n}: expected a JSON object, got list"),
+        (lambda doc: {**doc, "ensembles": 5}, "model: ensembles must be a JSON array, got int"),
+    ], ids=["document", "first-entry", "last-entry", "ensembles"])
+    def test_evaluate_rejects_non_object(self, trained_models, tmp_path, capsys, corrupt,
+                                         message):
+        doc, test = trained_models["tree"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(corrupt(doc)))
+        assert main(["evaluate", "--model", str(model), "--test", test]) == 3
+        message = message.format(n=len(doc["ensembles"]))
+        assert capsys.readouterr() == ("", f"error: {message}\n")

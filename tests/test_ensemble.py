@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -401,6 +402,37 @@ class TestModelSerialization:
     def test_wrong_format_rejected(self):
         with pytest.raises(ValueError, match="not an"):
             model_from_dict({"format": "tarball"})
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "model: expected a JSON object, got list"),
+        ("noisegate-model", "model: expected a JSON object, got str"),
+        ({"format": "noisegate-model", "version": 2, "label_names": ["a", "b"],
+          "n_features": 1, "ensembles": [1]}, "ensemble 0: expected a JSON object, got int"),
+        ({"format": "noisegate-model", "version": 2, "label_names": ["a", "b"],
+          "n_features": 1, "ensembles": None}, "model: ensembles must be a JSON array, got NoneType"),
+    ], ids=["list", "string", "entry", "ensembles"])
+    def test_non_object_rejected(self, doc, message):
+        with pytest.raises(ValueError) as err:
+            model_from_dict(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("beta", True, "beta must be a number, got True"),
+        ("beta", "0.5", "beta must be a number, got '0.5'"),
+        ("beta", float("nan"), "beta must lie in [0, 1]"),
+        ("alpha", True, "alpha must be a number, got True"),
+        ("alpha", "0.5", "alpha must be a number, got '0.5'"),
+        ("alpha", float("nan"), "member vote weights must be positive"),
+    ])
+    def test_number_fields_rejected(self, field, value, message):
+        doc = json.loads(json.dumps(model_to_dict(self.build())))
+        e = doc["ensembles"][1]
+        if field == "beta":
+            e["beta"] = value
+        else:
+            e["members"][0]["alpha"] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model_from_dict(doc)
 
     def build_knn(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -518,6 +519,22 @@ class TestKnn:
         # both first refs are at distance 1 from the origin
         assert knn_predict(refs, labels, uniform_weights(3), [0.0, 0.0], k=1) == 0
 
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_vote_sums_equal_add_at_bit_for_bit(self, K):
+        rng = np.random.default_rng(K)
+        n_refs = 30
+        labels = np.arange(n_refs) % K
+        # a few repeated weights, so summed votes tie across classes
+        w = rng.choice([0.1, 0.2, 0.3, 1 / 3], size=n_refs)
+        w /= w.sum()
+        h = KnnHypothesis(KnnReference(rng.normal(size=(n_refs, 2)), labels, 7), w)
+        nearest = rng.integers(0, n_refs, size=(200, 7))
+        votes = np.zeros((200, K))
+        np.add.at(votes, (np.repeat(np.arange(200), 7), labels[nearest].ravel()),
+                  w[nearest].ravel())
+        assert h._vote_sums(nearest).tobytes() == votes.tobytes()
+        assert np.array_equal(h.vote(nearest), np.argmax(votes, axis=1))
+
 
 class TestNeighbourSearch:
     def test_top_k_matches_stable_argsort(self):
@@ -529,6 +546,37 @@ class TestNeighbourSearch:
                 assert np.array_equal(
                     _top_k(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k]
                 )
+
+    def test_top_k_non_finite_matches_stable_argsort_and_keeps_input(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            n, m = rng.integers(1, 25, size=2)
+            d2 = rng.integers(0, 4, size=(n, m)).astype(np.float64)  # many ties
+            d2[rng.random((n, m)) < 0.2] = np.inf
+            d2[rng.random((n, m)) < 0.05] = np.nan
+            d2[rng.random((n, m)) < 0.02] = -np.inf
+            before = d2.tobytes()
+            for k in range(1, m + 1):
+                assert np.array_equal(
+                    _top_k(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k]
+                )
+                assert d2.tobytes() == before
+
+    def test_overflowing_queries_match_stable_argsort(self):
+        # 1e200 and 1e155 square past the float range: those rows' distances
+        # are all +inf, and the nearest are the first k references
+        rng = np.random.default_rng(16)
+        refs = rng.normal(size=(9, 2))
+        queries = np.array([[1e200, 0.0], [0.3, -0.2], [1e155, 1e155], [0.0, -1e200]])
+        with np.errstate(over="ignore"):
+            d2 = ((queries[:, None, :] - refs[None, :, :]) ** 2).sum(axis=2)
+        assert np.isinf(d2[[0, 2, 3]]).all()
+        for k in range(1, 10):
+            ref = KnnReference(refs, rng.integers(0, 2, 9), k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                nearest = ref.neighbours(queries)
+            assert np.array_equal(nearest, np.argsort(d2, axis=1, kind="stable")[:, :k])
 
     @pytest.mark.parametrize("n_queries", [1, 6, 7, 8, 29])
     def test_blocked_query_matches_full_sort(self, monkeypatch, n_queries):
@@ -620,7 +668,66 @@ class TestSerialization:
             KnnReference.from_dict(doc)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("value, message", [
+        ("0.5", "k-NN reference must be a number, got '0.5'"),
+        (True, "k-NN reference must be a number, got True"),
+        (None, "k-NN reference must be a number, got None"),
+        (float("nan"), "k-NN references must be finite"),
+        (float("inf"), "k-NN references must be finite"),
+    ])
+    def test_knn_reference_rejects_non_numbers(self, value, message):
+        doc = {"refs": [[0.0, 1.0], [1.0, value]], "labels": [0, 1], "k": 1}
+        with pytest.raises(ValueError) as err:
+            KnnReference.from_dict(doc)
+        assert str(err.value) == message
+
+    def test_knn_reference_integer_refs_load(self):
+        ref = KnnReference.from_dict({"refs": [[0, 1], [1, 0.5]], "labels": [0, 1], "k": 1})
+        assert ref.refs.dtype == np.float64
+        assert ref.refs.tolist() == [[0.0, 1.0], [1.0, 0.5]]
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "stump threshold must be a number, got True"),
+        ("0.5", "stump threshold must be a number, got '0.5'"),
+        (float("nan"), "stump threshold must be finite"),
+    ])
+    def test_stump_threshold_must_be_a_finite_number(self, value, message):
+        doc = {"kind": "stump", "feature": 0, "threshold": value, "left": 0, "right": 1}
+        with pytest.raises(ValueError) as err:
+            hypothesis_from_dict(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "tree threshold must be a number, got True"),
+        ("0.5", "tree threshold must be a number, got '0.5'"),
+        (float("inf"), "tree threshold must be finite"),
+    ])
+    def test_tree_threshold_must_be_a_finite_number(self, value, message):
+        doc = {"kind": "random_tree", "max_depth": 2,
+               "root": {"feature": 0, "threshold": value, "left": {"leaf": 0},
+                        "right": {"leaf": 1}}}
+        with pytest.raises(ValueError) as err:
+            hypothesis_from_dict(doc)
+        assert str(err.value) == message
+
+    def test_integer_thresholds_load(self):
+        stump = hypothesis_from_dict(
+            {"kind": "stump", "feature": 0, "threshold": 1, "left": 0, "right": 1})
+        tree = hypothesis_from_dict(
+            {"kind": "random_tree", "max_depth": 2,
+             "root": {"feature": 0, "threshold": 1, "left": {"leaf": 0}, "right": {"leaf": 1}}})
+        X = np.array([[0.5], [1.0], [1.5]])
+        assert stump.predict(X).tolist() == tree.predict(X).tolist() == [0, 0, 1]
+
 
 def test_validate_weights_shape():
     with pytest.raises(ValueError, match="shape"):
         validate_weights(np.ones(3) / 3, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_weights_rejects_non_finite(bad):
+    # NaN passes both the sign and the sum check, so it needs its own
+    with pytest.raises(ValueError) as err:
+        validate_weights([0.5, 0.5, bad], 3)
+    assert str(err.value) == "weights must be finite"
