@@ -16,9 +16,12 @@ import numpy as np
 
 from .data import ScalingSpec
 from .learners import (
+    _ROUTE_BYTES,
     KnnHypothesis,
     KnnReference,
+    RandomTree,
     StumpIndex,
+    _integer,
     _number,
     hypothesis_from_dict,
     train_random_tree,
@@ -34,6 +37,11 @@ MODEL_VERSION = 2
 LEARNER_KINDS = ("stump", "tree", "knn")
 
 _ALPHA_CAP = math.log(1e10)
+# An all-tree ensemble's threshold tables hold (thresholds + features) x trees
+# words, which grows with the square of its round count: up to about 750 MB
+# for 5,000 rounds at max_depth 4, against about 75 KB for the default 50.
+# Past this many bytes the ensemble is voted member by member.
+_TABLE_BYTES = 1 << 24
 _EPS_FLOOR = 1e-10
 
 
@@ -185,9 +193,102 @@ def _add_votes(flat: np.ndarray, row_start: np.ndarray, weight: float, pred: np.
     np.add.at(flat, pred, weight)
 
 
+def _compile_trees(E: PartitionEnsemble):
+    """Per-feature threshold tables of an all-tree ensemble (QuickScorer,
+    Lucchese et al. 2015); None unless every member is a RandomTree of at
+    most 64 leaves and the tables fit in ``_TABLE_BYTES``.
+
+    Tree t's leaves are the bits of a word, numbered in pre-order, which is
+    left to right. A split node's mask clears the leaves of its left subtree:
+    a row that fails ``<=`` there cannot reach them. Per used feature, its
+    sorted thresholds and a (thresholds + 1, trees) table whose row r is the
+    per-tree AND of the masks of the first r; per class c, the per-tree word
+    of the leaves that vote c or higher.
+    """
+    trees = [h for _, h in E.members]
+    if not trees or not all(isinstance(h, RandomTree) for h in trees):
+        return None
+    leaves = [~np.isfinite(h.threshold) for h in trees]
+    width = max(int(leaf.sum()) for leaf in leaves)
+    if width > 64:
+        return None
+    dtype = np.dtype(f"uint{max(8, 1 << (width - 1).bit_length())}")  # narrowest that fits
+    one = np.uint64(1)
+    parts = []  # per tree: its split nodes' features, thresholds, tree index and masks
+    classes = np.zeros((E.K, len(trees)), dtype=np.uint64)
+    for t, (h, leaf) in enumerate(zip(trees, leaves)):
+        before = (np.cumsum(leaf) - leaf).astype(np.uint64)  # leaves ahead in pre-order
+        split = np.flatnonzero(~leaf)
+        # the left subtree is the nodes from split + 1 up to the right child
+        left = (one << before[h.children[2 * split + 1]]) - (one << before[split])
+        parts.append((h.feature[split], h.threshold[split], np.full(split.size, t),
+                      (~left).astype(dtype)))
+        np.bitwise_or.at(classes, (h.value[leaf], t), one << before[leaf])
+    classes = np.bitwise_or.accumulate(classes[::-1], axis=0)[::-1].astype(dtype)
+    feature, threshold, tree, mask = map(np.concatenate, zip(*parts))
+    used = np.unique(feature)
+    if (feature.size + used.size) * len(trees) * dtype.itemsize > _TABLE_BYTES:
+        return None
+    tables = []
+    for f in used.tolist():
+        rows = np.flatnonzero(feature == f)
+        rows = rows[threshold[rows].argsort(kind="stable")]
+        tab = np.full((rows.size + 1, len(trees)), np.iinfo(dtype).max, dtype=dtype)
+        tab[np.arange(1, rows.size + 1), tree[rows]] = mask[rows]
+        tables.append((f, threshold[rows], np.bitwise_and.accumulate(tab, axis=0)))
+    alphas = np.array([alpha for alpha, _ in E.members])
+    return tables, classes, alphas
+
+
+def _tree_scores(compiled, X: np.ndarray) -> np.ndarray:
+    """Summed vote weight per class of a compiled all-tree ensemble.
+
+    Rows go a block at a time. Per feature, ``searchsorted`` counts the
+    thresholds below x: exactly the nodes where x fails ``<=`` and goes
+    right, a NaN at every one. The AND of the gathered table rows keeps the
+    leaves each tree can still reach; the lowest, ``a & (~a + 1)``, is where
+    the row exits. One bincount over row * K + class, weighted by the alphas
+    in member order, adds them from 0.0 in that order, as ``np.add.at`` does
+    one member at a time, so the sums have its bits.
+    """
+    tables, classes, alphas = compiled
+    (K, T), n = classes.shape, X.shape[0]
+    # per (block row, tree): two words, a flag, a flat index and a weight
+    m = max(1, min(n, _ROUTE_BYTES // (T * (2 * classes.itemsize + 17))))
+    word = np.empty((2, m, T), dtype=classes.dtype)
+    flat = np.empty((m, T), dtype=np.intp)
+    row_start = np.arange(0, m * K, K)[:, None]
+    weights = np.tile(alphas, m)
+    out = np.empty((n, K))
+    for lo in range(0, n, m):
+        B = X[lo:lo + m]
+        k = B.shape[0]
+        a, g = word[0, :k], word[1, :k]
+        a.fill(np.iinfo(classes.dtype).max)
+        for f, t, tab in tables:
+            tab.take(np.searchsorted(t, B[:, f]), axis=0, out=g, mode="clip")
+            a &= g
+        np.invert(a, out=g)
+        g += classes.dtype.type(1)
+        a &= g
+        idx = flat[:k]
+        np.copyto(idx, row_start[:k])
+        for c in range(1, K):  # the class is how many of these words hold the leaf
+            np.bitwise_and(a, classes[c], out=g)
+            np.add(idx, g != 0, out=idx)
+        out[lo:lo + k] = np.bincount(idx.ravel(), weights=weights[:k * T],
+                                     minlength=k * K).reshape(k, K)
+    return out
+
+
 def ensemble_scores(E: PartitionEnsemble, X) -> np.ndarray:
-    """Summed vote weight per class, shape (rows, K)."""
+    """Summed vote weight per class, shape (rows, K). An all-tree ensemble of
+    at most 64 leaves per tree is scored from its threshold tables, any other
+    one member by member."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    compiled = _compile_trees(E)
+    if compiled is not None:
+        return _tree_scores(compiled, X)
     scores = np.zeros(X.shape[0] * E.K)
     row_start = np.arange(0, X.shape[0] * E.K, E.K)
     nearest: dict[KnnReference, np.ndarray] = {}
@@ -290,13 +391,10 @@ def model_from_dict(doc: dict) -> GlobalModel:
         )
     with _located("model"):
         label_names = list(doc["label_names"])
-        n_features = int(doc["n_features"])
+        n_features = _integer("n_features", doc["n_features"])
         scaling = None
         if doc.get("scaling") is not None:
-            scaling = ScalingSpec(
-                np.asarray(doc["scaling"]["mins"], dtype=np.float64),
-                np.asarray(doc["scaling"]["maxs"], dtype=np.float64),
-            )
+            scaling = _scaling_from_dict(doc["scaling"], n_features)
         ensemble_docs = doc["ensembles"]
         if not isinstance(ensemble_docs, list):
             raise TypeError(f"ensembles must be a JSON array, got {type(ensemble_docs).__name__}")
@@ -306,7 +404,7 @@ def model_from_dict(doc: dict) -> GlobalModel:
             _json_object(e)
         where = f"partition {e['partition_id']}" if "partition_id" in e else f"ensemble {i}"
         with _located(where):
-            pid = int(e["partition_id"])
+            pid = _integer("partition_id", e["partition_id"])
             beta = _number("beta", e["beta"])
             knn = KnnReference.from_dict(e["knn"]) if "knn" in e else None
             member_docs = e["members"]
@@ -328,6 +426,19 @@ def model_from_dict(doc: dict) -> GlobalModel:
         ensembles.append(PartitionEnsemble(members, beta, pid, K=len(label_names)))
     return GlobalModel(ensembles, label_names, scaling, dict(doc.get("provenance", {})),
                        n_features)
+
+
+def _scaling_from_dict(doc: dict, n_features: int) -> ScalingSpec:
+    """The scaling spec of a model document: finite per-column bounds, one
+    pair per feature, min <= max."""
+    mins, maxs = (np.array([_number(f"scaling {key}", v) for v in doc[key]], dtype=np.float64)
+                  for key in ("mins", "maxs"))
+    if mins.shape != (n_features,) or maxs.shape != (n_features,):
+        raise ValueError(f"scaling has {mins.size} mins and {maxs.size} maxs "
+                         f"for {n_features} features")
+    if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
+        raise ValueError("scaling bounds must be finite")
+    return ScalingSpec(mins, maxs)
 
 
 def _json_object(doc) -> None:

@@ -111,10 +111,10 @@ class DecisionStump:
 # one block gets one matrix product; BLAS picks kernels by shape, so cutting
 # a product into row blocks can change its last bit.
 _BLOCK_ELEMENTS = 1 << 20
-# Tree routing takes rows in blocks whose compare matrix and row buffers hold
-# about this many bytes, reused across blocks: a few hundred KB per call,
-# where (node, row) blocks of _BLOCK_ELEMENTS churned MBs per tree, which
-# malloc may return to the system and fault back in between calls.
+# Tree routing and the vote's tree tables take rows in blocks whose buffers
+# hold about this many bytes, reused across blocks: a few hundred KB per
+# call, where (node, row) blocks of _BLOCK_ELEMENTS churned MBs per tree,
+# which malloc may return to the system and fault back in between calls.
 _ROUTE_BYTES = 1 << 18
 
 
@@ -240,6 +240,10 @@ class RandomTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Route rows a block at a time: compare the block once per internal
         node, then take ``depth()`` steps from the root.
+
+        Boosting calls this once per round on the training rows. The vote
+        calls it only for a tree of more than 64 leaves or one in a mixed
+        ensemble; it scores other all-tree ensembles from threshold tables.
 
         A row's state is u = 2 * node + 1, so with le = 1 when it goes left
         its next node is ``children[u - le]``. The internal nodes are sorted

@@ -479,3 +479,29 @@ class TestCorruptModel:
         assert main(["evaluate", "--model", str(model), "--test", test]) == 3
         message = message.format(n=len(doc["ensembles"]))
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("path, value, message", [
+        (["scaling", "mins", 0], float("nan"), "model: scaling bounds must be finite"),
+        (["scaling", "maxs", 1], float("inf"), "model: scaling bounds must be finite"),
+        (["scaling", "mins", 0], "0.5", "model: scaling mins must be a number, got '0.5'"),
+        (["scaling", "mins", 0], 1e9, "model: column min exceeds max"),
+        (["scaling", "mins"], [0.0], "model: scaling has 1 mins and 2 maxs for 2 features"),
+        (["scaling", "maxs"], [1.0], "model: scaling has 2 mins and 1 maxs for 2 features"),
+        (["n_features"], 2.9, "model: n_features must be an integer, got 2.9"),
+        (["ensembles", 0, "partition_id"], "7",
+         "partition 7: partition_id must be an integer, got '7'"),
+    ], ids=["nan-min", "inf-max", "string-min", "min-above-max", "short-mins", "short-maxs",
+            "float-n-features", "string-partition-id"])
+    def test_evaluate_rejects_bad_field(self, trained_models, tmp_path, capsys, path, value,
+                                        message):
+        doc, test = trained_models["tree"]
+        doc = json.loads(json.dumps(doc))
+        assert doc["n_features"] == 2 and doc["scaling"] is not None
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert main(["evaluate", "--model", str(model), "--test", test]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")

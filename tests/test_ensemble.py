@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from noisegate import ensemble
 from noisegate.data import ScalingSpec
 from noisegate.ensemble import (
     MODEL_VERSION,
@@ -22,7 +23,13 @@ from noisegate.ensemble import (
     model_to_dict,
     save_model,
 )
-from noisegate.learners import DecisionStump, KnnHypothesis, KnnReference, weighted_error
+from noisegate.learners import (
+    DecisionStump,
+    KnnHypothesis,
+    KnnReference,
+    RandomTree,
+    weighted_error,
+)
 
 import vote_oracle
 from knn_oracle import knn_predict as knn_oracle
@@ -289,6 +296,128 @@ class TestFlatIndexVotes:
         for E in ensembles:
             assert np.array_equal(ensemble_scores(E, Xf), ensemble_scores(E, X))
         assert np.array_equal(global_predict_batch(G, Xf), global_predict_batch(G, X))
+
+
+# split thresholds come from this grid, so they repeat across trees and
+# features, and test rows sit exactly on them
+GRID = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
+
+
+def random_tree(rng, leaves, d, K) -> RandomTree:
+    """A tree of exactly ``leaves`` leaves, split at random sizes, with
+    features in [0, d), grid thresholds and classes in [0, K)."""
+    def node(count):
+        if count == 1:
+            return {"leaf": int(rng.integers(K))}
+        left = int(rng.integers(1, count))
+        return {"feature": int(rng.integers(d)), "threshold": float(rng.choice(GRID)),
+                "left": node(left), "right": node(count - left)}
+
+    return RandomTree.from_dict({"kind": "random_tree", "max_depth": 4, "root": node(leaves)})
+
+
+def awkward_rows(rng, n, d) -> np.ndarray:
+    """Rows mixing normal draws with NaN, +-inf, -0.0 and values on the grid;
+    the first three are all NaN, all +inf (both reach every tree's last
+    leaf) and all -inf (its first)."""
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, *GRID])
+    X = rng.normal(size=(n, d))
+    pick = rng.random((n, d)) < 0.5
+    X[pick] = rng.choice(special, size=int(pick.sum()))
+    X[:3] = np.array([np.nan, np.inf, -np.inf])[:, None]
+    return X
+
+
+def tree_ensemble(rng, count, leaves, d, K, pid=0) -> PartitionEnsemble:
+    """count trees of 1 to ``leaves`` leaves, the first of exactly ``leaves``,
+    with repeated alphas so that rows tie between classes."""
+    sizes = [leaves, 1] + rng.integers(1, leaves + 1, size=count - 2).tolist()
+    members = [(float(rng.choice((0.1, 0.3, 0.7))), random_tree(rng, s, d, K)) for s in sizes]
+    return PartitionEnsemble(members, 0.5, pid, K=K)
+
+
+class TestTreeTables:
+    """All-tree ensembles of at most 64 leaves per tree are scored from
+    per-feature threshold tables; every other ensemble member by member.
+    Either way the sums are the oracle's bits."""
+
+    def assert_oracle(self, E, X):
+        expected = vote_oracle.ensemble_scores(E, X)
+        assert np.array_equal(ensemble_scores(E, X), expected)
+        assert np.array_equal(ensemble_predict_batch(E, X), np.argmax(expected, axis=1))
+
+    @pytest.mark.parametrize("K", [2, 5])
+    @pytest.mark.parametrize("leaves", [1, 8, 16, 32, 64])  # 64: the widest table word
+    def test_scores_equal_oracle(self, K, leaves):
+        rng = np.random.default_rng(80 + K + leaves)
+        X = awkward_rows(rng, 400, 3)
+        E = tree_ensemble(rng, 12, leaves, 3, K)
+        assert ensemble._compile_trees(E) is not None
+        self.assert_oracle(E, X)
+
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_global_predict_equals_oracle(self, K, monkeypatch):
+        # small blocks, so the rows span several and end in a partial one
+        monkeypatch.setattr(ensemble, "_ROUTE_BYTES", 1 << 12)
+        rng = np.random.default_rng(90 + K)
+        X = awkward_rows(rng, 500, 4)
+        ensembles = [tree_ensemble(rng, 6, 16, 4, K, pid=i) for i in range(8)]
+        for i, E in enumerate(ensembles):
+            E.beta = (0.25, 0.5)[i % 2]
+            self.assert_oracle(E, X)
+        G = GlobalModel(ensembles, [str(k) for k in range(K)], None, {}, 4)
+        assert has_tie(vote_oracle.global_scores(G, X))
+        assert np.array_equal(global_predict_batch(G, X), vote_oracle.global_predict_batch(G, X))
+
+    def test_special_values_route_like_the_oracle(self):
+        # one split on 0.0: -0.0 and -inf go left; NaN and +inf go right
+        tree = RandomTree.from_dict({"kind": "random_tree", "max_depth": 1, "root": {
+            "feature": 0, "threshold": 0.0, "left": {"leaf": 0}, "right": {"leaf": 1}}})
+        E = PartitionEnsemble([(1.0, tree)], 0.5, 0, K=2)
+        X = np.array([[-0.0], [0.0], [-np.inf], [np.nan], [np.inf], [5e-324]])
+        assert ensemble_predict_batch(E, X).tolist() == [0, 0, 0, 1, 1, 1]
+        self.assert_oracle(E, X)
+
+    def test_zero_rows_and_column_major_input(self):
+        rng = np.random.default_rng(95)
+        E = tree_ensemble(rng, 10, 16, 3, 3)
+        assert ensemble_scores(E, np.empty((0, 3))).shape == (0, 3)
+        self.assert_oracle(E, np.empty((0, 3)))
+        X = awkward_rows(rng, 300, 3)
+        assert np.array_equal(ensemble_scores(E, np.asfortranarray(X)), ensemble_scores(E, X))
+        self.assert_oracle(E, np.asfortranarray(X))
+
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_trained_trees_equal_oracle(self, K):
+        rng = np.random.default_rng(97)
+        X = rng.normal(size=(300, 3))
+        y = rng.integers(0, K, 300)
+        E = adaboost_train(X, y, T=15, base=LearnerConfig("tree", max_depth=4), seed=2)
+        assert ensemble._compile_trees(E) is not None
+        self.assert_oracle(E, awkward_rows(rng, 400, 3))
+
+    def test_65_leaves_take_the_member_loop(self):
+        rng = np.random.default_rng(99)
+        E = tree_ensemble(rng, 5, 65, 3, 5)
+        assert ensemble._compile_trees(E) is None
+        self.assert_oracle(E, awkward_rows(rng, 400, 3))
+
+    def test_oversized_tables_take_the_member_loop(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        E = tree_ensemble(rng, 6, 16, 3, 3)
+        size = sum(tab.nbytes for _, _, tab in ensemble._compile_trees(E)[0])
+        monkeypatch.setattr(ensemble, "_TABLE_BYTES", size)
+        assert ensemble._compile_trees(E) is not None
+        monkeypatch.setattr(ensemble, "_TABLE_BYTES", size - 1)
+        assert ensemble._compile_trees(E) is None
+        self.assert_oracle(E, awkward_rows(rng, 400, 3))
+
+    def test_stump_and_tree_take_the_member_loop(self):
+        rng = np.random.default_rng(100)
+        E = tree_ensemble(rng, 5, 16, 3, 3)
+        E.members.insert(2, (0.3, DecisionStump(1, 0.25, 2, 0)))
+        assert ensemble._compile_trees(E) is None
+        self.assert_oracle(E, awkward_rows(rng, 400, 3))
 
 
 class TestComputeBeta:

@@ -1,15 +1,23 @@
 """Reference accuracy-weighted votes: one 2-D fancy-index add per member.
 
-Kept independent of the package's flat-index vote sums: each member's vote
-goes in through ``scores[rows, pred] += weight``, and every k-NN member
-searches its neighbours afresh. Each row gets one add per member, in member
-order, so the package's sums must equal these bit for bit, and argmax ties
-go to the lowest class id in both.
+Kept independent of the package's flat-index vote sums and threshold
+tables: each member's vote goes in through ``scores[rows, pred] += weight``,
+every random tree is routed by ``tree_oracle`` over its nested form, and
+every k-NN member searches its neighbours afresh. Each row gets one add per
+member, in member order, so the package's sums must equal these bit for bit,
+and argmax ties go to the lowest class id in both.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+import tree_oracle
+from noisegate.learners import RandomTree
+
+
+def _predict(h, X) -> np.ndarray:
+    return tree_oracle.predict(h, X) if isinstance(h, RandomTree) else h.predict(X)
 
 
 def ensemble_scores(E, X) -> np.ndarray:
@@ -18,7 +26,7 @@ def ensemble_scores(E, X) -> np.ndarray:
     scores = np.zeros((X.shape[0], E.K))
     rows = np.arange(X.shape[0])
     for alpha, h in E.members:
-        scores[rows, h.predict(X)] += alpha
+        scores[rows, _predict(h, X)] += alpha
     return scores
 
 
