@@ -79,8 +79,10 @@ class PartitionEnsemble:
     trace: BoostTrace | None = None
 
     def __post_init__(self):
-        if any(not alpha > 0 for alpha, _ in self.members):  # NaN too
-            raise ValueError("member vote weights must be positive")
+        if not self.members:
+            raise ValueError("ensemble has no members")
+        if any(not 0 < alpha < math.inf for alpha, _ in self.members):  # NaN too
+            raise ValueError("member vote weights must be positive and finite")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
 
@@ -344,6 +346,11 @@ def global_predict_batch(G: GlobalModel, X) -> np.ndarray:
 
 
 def model_to_dict(G: GlobalModel) -> dict:
+    return dict(_model_head(G), ensembles=[_ensemble_to_dict(E) for E in G.ensembles])
+
+
+def _model_head(G: GlobalModel) -> dict:
+    """The model document up to, but not including, its ``ensembles``."""
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -354,7 +361,6 @@ def model_to_dict(G: GlobalModel) -> dict:
             "mins": G.scaling.mins.tolist(),
             "maxs": G.scaling.maxs.tolist(),
         },
-        "ensembles": [_ensemble_to_dict(E) for E in G.ensembles],
     }
 
 
@@ -423,7 +429,8 @@ def model_from_dict(doc: dict) -> GlobalModel:
                     (alpha, KnnHypothesis(knn, h.weights) if isinstance(h, KnnHypothesis) else h)
                     for alpha, h in members
                 ]
-        ensembles.append(PartitionEnsemble(members, beta, pid, K=len(label_names)))
+        with _located(f"partition {pid}"):
+            ensembles.append(PartitionEnsemble(members, beta, pid, K=len(label_names)))
     return GlobalModel(ensembles, label_names, scaling, dict(doc.get("provenance", {})),
                        n_features)
 
@@ -457,10 +464,26 @@ def _located(where: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _compact(doc) -> str:
+    # dumps without indent runs the C encoder; json.dump never does
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+
+
 def save_model(G: GlobalModel, path) -> None:
+    """Write G as one line of compact JSON: ``_compact(model_to_dict(G))`` and a newline.
+
+    The ensembles go one at a time after the rest of the document, so only one
+    ensemble's dict and text are alive at once. ``allow_nan=False`` keeps NaN
+    and Infinity, which are not JSON, out of the file.
+    """
+    head = _compact(dict(_model_head(G), ensembles=[]))
     with open(path, "w") as fh:
-        json.dump(model_to_dict(G), fh, indent=1)
-        fh.write("\n")
+        fh.write(head[:-len("]}")])
+        for i, E in enumerate(G.ensembles):
+            if i:
+                fh.write(",")
+            fh.write(_compact(_ensemble_to_dict(E)))
+        fh.write("]}\n")
 
 
 def load_model(path) -> GlobalModel:

@@ -395,6 +395,14 @@ def _string_beta(doc):
     doc["ensembles"][0]["beta"] = "0.5"
 
 
+def _no_members(doc):
+    doc["ensembles"][0]["members"] = []
+
+
+def _infinite_alpha(doc):
+    doc["ensembles"][0]["members"][-1]["alpha"] = float("inf")
+
+
 class TestCorruptMembers:
     @pytest.mark.parametrize("kind, corrupt, message", [
         ("tree", _tree_leaf_k, "tree leaf class 2 is not in [0, 2)"),
@@ -418,12 +426,14 @@ class TestCorruptMembers:
         ("knn", _knn_nan_weight, "weights must be finite"),
         ("knn", _knn_nan_ref, "k-NN references must be finite"),
         ("knn", _knn_string_ref, "k-NN reference must be a number, got '0.5'"),
+        ("tree", _no_members, "ensemble has no members"),
+        ("stump", _infinite_alpha, "member vote weights must be positive and finite"),
     ], ids=["tree-leaf", "tree-feature", "tree-nan-threshold", "tree-missing-right",
             "tree-string-leaf", "tree-string-max-depth", "stump-class", "stump-feature",
             "stump-bool-feature", "knn-label", "knn-width", "knn-float-label",
             "knn-string-label", "knn-string-k", "stump-bool-threshold",
             "tree-string-threshold", "bool-alpha", "string-beta", "knn-nan-weight",
-            "knn-nan-ref", "knn-string-ref"])
+            "knn-nan-ref", "knn-string-ref", "no-members", "infinite-alpha"])
     def test_evaluate_rejects_member(self, trained_models, tmp_path, capsys, kind, corrupt,
                                      message):
         doc, test = trained_models[kind]

@@ -494,12 +494,12 @@ class TestGlobalPredict:
 
 
 class TestModelSerialization:
-    def build(self, seed=0):
+    def build(self, seed=0, kind="tree"):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(60, 3))
         y = rng.integers(0, 3, 60)
         ensembles = [
-            adaboost_train(X, y, T=6, base=LearnerConfig("tree", max_depth=3),
+            adaboost_train(X, y, T=6, base=LearnerConfig(kind, max_depth=3),
                            seed=s, partition_id=s)
             for s in range(3)
         ]
@@ -521,6 +521,40 @@ class TestModelSerialization:
                               global_predict_batch(back, probes))
         assert back.provenance == G.provenance
         assert np.array_equal(back.scaling.mins, G.scaling.mins)
+
+    def build_kind(self, kind):
+        return self.build_knn() if kind == "knn" else self.build(kind=kind)
+
+    @pytest.mark.parametrize("kind", ["stump", "tree", "knn"])
+    def test_saved_text_is_the_compact_document(self, tmp_path, kind):
+        G = self.build_kind(kind)
+        path = tmp_path / "model.json"
+        save_model(G, path)
+        text = path.read_text()
+        assert text == json.dumps(model_to_dict(G), separators=(",", ":")) + "\n"
+        assert len(G.ensembles) > 1 and text.count("\n") == 1
+        with open(path) as fh:
+            assert json.load(fh) == model_to_dict(G)
+
+    @pytest.mark.parametrize("kind", ["stump", "tree", "knn"])
+    def test_indented_file_loads_and_predicts_bit_equal(self, tmp_path, kind):
+        # files saved before the compact writer are indented
+        G = self.build_kind(kind)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_dict(G), indent=1) + "\n")
+        back = load_model(path)
+        probes = np.random.default_rng(3).normal(size=(500, G.n_features))
+        for E, E_back in zip(G.ensembles, back.ensembles, strict=True):
+            assert np.array_equal(ensemble_scores(E, probes), ensemble_scores(E_back, probes))
+        assert np.array_equal(global_predict_batch(G, probes),
+                              global_predict_batch(back, probes))
+        assert model_to_dict(back) == model_to_dict(G)
+
+    def test_save_rejects_non_finite_number(self, tmp_path):
+        G = self.build()
+        G.provenance = {"gamma": float("nan")}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(G, tmp_path / "model.json")
 
     def test_newer_version_rejected(self):
         doc = model_to_dict(self.build())
@@ -552,14 +586,16 @@ class TestModelSerialization:
         ("alpha", True, "alpha must be a number, got True"),
         ("alpha", "0.5", "alpha must be a number, got '0.5'"),
         ("alpha", float("nan"), "member vote weights must be positive"),
+        ("alpha", float("inf"), "partition 1: member vote weights must be positive and finite"),
+        ("members", [], "partition 1: ensemble has no members"),
     ])
     def test_number_fields_rejected(self, field, value, message):
         doc = json.loads(json.dumps(model_to_dict(self.build())))
         e = doc["ensembles"][1]
-        if field == "beta":
-            e["beta"] = value
-        else:
+        if field == "alpha":
             e["members"][0]["alpha"] = value
+        else:
+            e[field] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             model_from_dict(doc)
 
