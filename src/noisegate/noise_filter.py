@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Partition
-from .ocsvm import KernelSpec, decision_values, train_ocsvm
+# decision_values is unused here, but bench/tracing.py wraps it by this name
+from .ocsvm import KernelSpec, decision_values, train_ocsvm  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def filter_partition(
         grid = default_grid()
     rows = data.rows(part.indices)
     model = train_ocsvm(rows, nu=nu, kernel=kernel, tol=tol, max_iter=max_iter)
-    scores = decision_values(model, rows)
+    scores = model.train_scores
     labels = data.labels[part.indices]
     best_p, scan = scan_split_percentage(labels, scores, grid)
     clean, noisy = split_by_score(part.indices, scores, best_p)

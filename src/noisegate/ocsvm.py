@@ -97,6 +97,12 @@ class OcSvmModel:
     Only strictly positive coefficients are retained; they sum to 1 and are
     each bounded by 1/(nu * n_train). The model is immutable in practice and
     safe for concurrent scoring.
+
+    ``train_scores`` holds the decision value of each training row, in row
+    order, as train_ocsvm leaves it: the solver's final gradient K @ alpha
+    minus rho. It equals ``decision_values(model, X_train)`` up to rounding
+    (about 1e-15), without a second kernel pass. It is None on a model built
+    by hand.
     """
 
     support_vectors: np.ndarray
@@ -109,6 +115,7 @@ class OcSvmModel:
     converged: bool = True
     residual: float = 0.0
     n_iter: int = 0
+    train_scores: np.ndarray | None = None
 
     def validate(self) -> None:
         """Post-hoc dual feasibility check; raises on violation."""
@@ -139,15 +146,18 @@ def train_ocsvm(
     analytically, preserving the simplex constraint at every step. If the
     iteration budget runs out first, the model is returned with
     ``converged=False`` and the remaining violation in ``residual``
-    alongside a warning.
+    alongside a warning. Either way the rows' decision values are returned
+    in ``train_scores``.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     if n < 2:
         raise ValueError("training requires at least 2 rows")
     check_nu(nu)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if kernel is None:
         kernel = default_kernel(d)
     if max_iter is None:
@@ -165,17 +175,21 @@ def train_ocsvm(
     for j in np.flatnonzero(alpha > 0):
         g += alpha[j] * cache.row(j)
 
+    # up holds g where a row may rise and +inf where it sits at C; down holds
+    # g where a row may fall and -inf where it sits at 0. argmin/argmax over
+    # a whole buffer then take the first index of the extreme, as a search
+    # over just the movable rows would.
+    up = np.where(alpha < C, g, np.inf)
+    down = np.where(alpha > 0, g, -np.inf)
     converged = False
     residual = 0.0
     it = 0
     for it in range(1, max_iter + 1):
-        can_up = np.flatnonzero(alpha < C)
-        can_down = np.flatnonzero(alpha > 0)
-        if can_up.size == 0 or can_down.size == 0:
+        i = int(np.argmin(up))
+        j = int(np.argmax(down))
+        if up[i] == np.inf or down[j] == -np.inf:
             converged = True
             break
-        i = can_up[np.argmin(g[can_up])]
-        j = can_down[np.argmax(g[can_down])]
         residual = g[j] - g[i]
         if residual < tol:
             converged = True
@@ -193,7 +207,13 @@ def train_ocsvm(
             alpha[i] = C
         if t == cap_j:
             alpha[j] = 0.0
-        g += t * (ki - kj)
+        step = t * (ki - kj)
+        g += step
+        up += step
+        down += step
+        for k in (i, j):
+            up[k] = g[k] if alpha[k] < C else np.inf
+            down[k] = g[k] if alpha[k] > 0 else -np.inf
 
     if not converged:
         warnings.warn(
@@ -225,6 +245,7 @@ def train_ocsvm(
         converged=converged,
         residual=float(residual),
         n_iter=it,
+        train_scores=g - rho,
     )
 
 
