@@ -22,6 +22,7 @@ from .learners import (
     RandomTree,
     StumpIndex,
     _integer,
+    _json_array,
     _number,
     hypothesis_from_dict,
     train_random_tree,
@@ -30,9 +31,10 @@ from .learners import (
 )
 
 MODEL_FORMAT = "noisegate-model"
-# 2: a k-NN ensemble stores its reference set once ("knn"), and each member
-# only its weights; version-1 files, with refs/labels/k in every member, load.
-MODEL_VERSION = 2
+# 3: a tree member is its pre-order split mask and the split nodes' and
+# leaves' arrays; a k-NN ensemble stores its reference set once ("knn"), and
+# each member only its weights. Older versions are not read.
+MODEL_VERSION = 3
 
 LEARNER_KINDS = ("stump", "tree", "knn")
 
@@ -366,23 +368,15 @@ def _model_head(G: GlobalModel) -> dict:
 
 def _ensemble_to_dict(E: PartitionEnsemble) -> dict:
     doc = {"partition_id": E.partition_id, "beta": E.beta}
-    knn = _shared_reference(E.partition_id, [h for _, h in E.members])
-    if knn is not None:
-        doc["knn"] = knn.to_dict()
+    # the members' one reference set, which the ensemble stores for them
+    refs = [h.reference for _, h in E.members if isinstance(h, KnnHypothesis)]
+    if any(r is not refs[0] and not r.equals(refs[0]) for r in refs[1:]):
+        raise ValueError(f"partition {E.partition_id}: "
+                         "k-NN members disagree on their reference set")
+    if refs:
+        doc["knn"] = refs[0].to_dict()
     doc["members"] = [{"alpha": alpha, "hypothesis": h.to_dict()} for alpha, h in E.members]
     return doc
-
-
-def _shared_reference(partition_id: int, hypotheses) -> KnnReference | None:
-    """The one reference set of a partition's k-NN members, None without any."""
-    refs = [h.reference for h in hypotheses if isinstance(h, KnnHypothesis)]
-    if not refs:
-        return None
-    if any(r is not refs[0] and not r.equals(refs[0]) for r in refs[1:]):
-        raise ValueError(
-            f"partition {partition_id}: k-NN members disagree on their reference set"
-        )
-    return refs[0]
 
 
 def model_from_dict(doc: dict) -> GlobalModel:
@@ -391,12 +385,19 @@ def model_from_dict(doc: dict) -> GlobalModel:
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError("not an ensemble model document")
     version = doc.get("version")
-    if not isinstance(version, int) or version > MODEL_VERSION:
-        raise ValueError(
-            f"model version {version!r} is newer than supported ({MODEL_VERSION})"
-        )
+    if type(version) is not int or version > MODEL_VERSION:
+        raise ValueError(f"model version {version!r} is newer than supported ({MODEL_VERSION})")
+    if version < MODEL_VERSION:
+        raise ValueError(f"model version {version} is no longer read: retrain the model "
+                         f"to write version {MODEL_VERSION}")
     with _located("model"):
-        label_names = list(doc["label_names"])
+        label_names = doc["label_names"]
+        if not (isinstance(label_names, list) and {type(name) for name in label_names} == {str}
+                and len(set(label_names)) == len(label_names) >= 2):
+            raise ValueError("label_names must be a JSON array of at least two distinct strings")
+        provenance = doc.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise TypeError(f"provenance must be a JSON object, got {type(provenance).__name__}")
         n_features = _integer("n_features", doc["n_features"])
         scaling = None
         if doc.get("scaling") is not None:
@@ -421,25 +422,15 @@ def model_from_dict(doc: dict) -> GlobalModel:
                 h = hypothesis_from_dict(m["hypothesis"], knn)
                 h.check(n_features, len(label_names))
             members.append((alpha, h))
-        if knn is None:
-            # version 1: every k-NN member carried its own copy of the references
-            knn = _shared_reference(pid, [h for _, h in members])
-            if knn is not None:
-                members = [
-                    (alpha, KnnHypothesis(knn, h.weights) if isinstance(h, KnnHypothesis) else h)
-                    for alpha, h in members
-                ]
         with _located(f"partition {pid}"):
             ensembles.append(PartitionEnsemble(members, beta, pid, K=len(label_names)))
-    return GlobalModel(ensembles, label_names, scaling, dict(doc.get("provenance", {})),
-                       n_features)
+    return GlobalModel(ensembles, label_names, scaling, dict(provenance), n_features)
 
 
 def _scaling_from_dict(doc: dict, n_features: int) -> ScalingSpec:
     """The scaling spec of a model document: finite per-column bounds, one
     pair per feature, min <= max."""
-    mins, maxs = (np.array([_number(f"scaling {key}", v) for v in doc[key]], dtype=np.float64)
-                  for key in ("mins", "maxs"))
+    mins, maxs = (_json_array(f"scaling {key}", doc[key], np.float64) for key in ("mins", "maxs"))
     if mins.shape != (n_features,) or maxs.shape != (n_features,):
         raise ValueError(f"scaling has {mins.size} mins and {maxs.size} maxs "
                          f"for {n_features} features")
@@ -460,7 +451,7 @@ def _located(where: str):
         yield
     except KeyError as exc:
         raise ValueError(f"{where}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 

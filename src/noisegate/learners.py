@@ -58,6 +58,19 @@ def _number(what: str, value) -> float:
     return float(value)
 
 
+def _json_array(what: str, values, dtype, ndim: int = 1) -> np.ndarray:
+    """A model file's JSON array (of arrays, for ``ndim=2``) as an array of ``dtype``.
+    One type check per array; a "0.5" or true, which ``np.array`` would convert, is named."""
+    rows = values if ndim == 2 and isinstance(values, list) else [values]
+    if not all(isinstance(row, list) for row in rows):
+        raise TypeError(f"{what} values must be a JSON array" + " of arrays" * (ndim - 1))
+    scalar, types = (_integer, {int}) if np.dtype(dtype).kind == "i" else (_number, {int, float})
+    if not {type(v) for row in rows for v in row} <= types:
+        for v in itertools.chain.from_iterable(rows):
+            scalar(what, v)
+    return np.array(values, dtype=dtype)
+
+
 def _check_range(what: str, values, stop: int) -> None:
     """Raise ValueError unless every one of ``values`` lies in [0, stop)."""
     values = np.asarray(values)
@@ -212,26 +225,50 @@ def train_stump(X, y, w, index: StumpIndex | None = None) -> DecisionStump:
 class RandomTree:
     """Randomized splitter; rows with x[feature] <= threshold go left.
 
-    The tree is four flat pre-order node arrays: ``feature``, ``threshold``,
-    ``children`` (left and right of node i at 2i and 2i + 1) and ``value``. A
-    leaf's children are the leaf itself and its threshold is +inf, so a row
-    that has reached a leaf stays there. The nested tree of dicts is only the
-    model file's form, which ``to_dict`` writes and ``from_dict`` reads.
+    Built from its pre-order form, as training grows it and the model file
+    stores it (a ``split`` flag per node, the split nodes' features and
+    thresholds, the leaves' classes), it holds four flat pre-order node
+    arrays: ``feature``, ``threshold``, ``children`` (left and right of node i
+    at 2i and 2i + 1) and ``value``. A leaf's children are the leaf itself and
+    its threshold is +inf, so a row that has reached a leaf stays there.
     """
 
     kind = "random_tree"
 
-    def __init__(self, feature, threshold, children, value, max_depth: int):
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold, dtype=np.float64)
-        self.children = np.array(children, dtype=np.intp)
-        self.value = np.array(value, dtype=np.int64)
+    def __init__(self, split, feature, threshold, leaf, max_depth: int):
+        """One pass over ``split`` derives the children and the depth: each node
+        fills the last open child slot, and a split node opens its right, then its
+        left slot. A mask that leaves a node no slot, or slots open at its end, is
+        not a pre-order full binary tree."""
+        split = np.asarray(split, dtype=bool)
+        n, n_split = split.size, int(split.sum())
+        if (len(feature), len(threshold), len(leaf)) != (n_split, n_split, n - n_split):
+            raise ValueError(f"tree has {n_split} split nodes and {n - n_split} leaves, but "
+                             f"{len(feature)} features, {len(threshold)} thresholds and "
+                             f"{len(leaf)} leaf classes")
+        children = [0] * (2 * n + 1)
+        slots = [(2 * n, 0)]  # (child slot, its depth); the root's is one past the children
+        self._depth = 0
+        for i, is_split in enumerate(split.tolist()):
+            if not slots:
+                raise ValueError(f"tree node {i} has no parent: the split mask is not "
+                                 "a pre-order full binary tree")
+            slot, depth = slots.pop()
+            children[slot] = i
+            if is_split:
+                slots += ((2 * i + 1, depth + 1), (2 * i, depth + 1))
+            else:
+                children[2 * i] = children[2 * i + 1] = i
+                self._depth = max(self._depth, depth)
+        if slots:
+            raise ValueError(f"tree split mask leaves {len(slots)} child slots empty: it is "
+                             "not a pre-order full binary tree")
+        self.feature = np.zeros(n, dtype=np.intp)
+        self.threshold = np.full(n, math.inf)
+        self.value = np.full(n, -1, dtype=np.int64)
+        self.feature[split], self.threshold[split], self.value[~split] = feature, threshold, leaf
+        self.children = np.array(children[:-1], dtype=np.intp)
         self.max_depth = max_depth
-        kids = self.children.tolist()
-        level = [0] * self.value.size  # pre-order: parents before children
-        for i in self.split_nodes().tolist():
-            level[kids[2 * i]] = level[kids[2 * i + 1]] = level[i] + 1
-        self._depth = max(level)
 
     def split_nodes(self) -> np.ndarray:
         """The internal nodes, in pre-order: those with a finite threshold."""
@@ -307,37 +344,21 @@ class RandomTree:
         _check_range("tree leaf class", np.delete(self.value, internal), K)
 
     def to_dict(self) -> dict:
-        feature, threshold = self.feature.tolist(), self.threshold.tolist()
-        kids, value = self.children.tolist(), self.value.tolist()
-        # children come after their parent, so a backward pass has them ready
-        nodes = [None] * len(value)
-        for i in reversed(range(len(value))):
-            nodes[i] = {"leaf": value[i]} if threshold[i] == math.inf else {
-                "feature": feature[i], "threshold": threshold[i],
-                "left": nodes[kids[2 * i]], "right": nodes[kids[2 * i + 1]]}
-        return {"kind": self.kind, "max_depth": self.max_depth, "root": nodes[0]}
+        split = np.isfinite(self.threshold)
+        return {"kind": self.kind, "max_depth": self.max_depth,
+                "split": split.view(np.uint8).tolist(), "feature": self.feature[split].tolist(),
+                "threshold": self.threshold[split].tolist(), "leaf": self.value[~split].tolist()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RandomTree":
         max_depth = _integer("tree max_depth", doc["max_depth"])
-        feature, threshold, children, value = [], [], [], []
-        stack = [(doc["root"], None)]  # (node, its slot in children)
-        while stack:
-            node, slot = stack.pop()
-            i = len(value)
-            if slot is not None:
-                children[slot] = i
-            leaf = "leaf" in node
-            thr = math.inf if leaf else _number("tree threshold", node["threshold"])
-            if not leaf and not math.isfinite(thr):
-                raise ValueError("tree threshold must be finite")
-            feature.append(0 if leaf else _integer("tree feature", node["feature"]))
-            threshold.append(thr)
-            value.append(_integer("tree leaf class", node["leaf"]) if leaf else -1)
-            children += [i, i]
-            if not leaf:
-                stack += [(node["right"], 2 * i + 1), (node["left"], 2 * i)]
-        return cls(feature, threshold, children, value, max_depth)
+        split = _json_array("tree split flag", doc["split"], np.int64)
+        _check_range("tree split flag", split, 2)
+        threshold = _json_array("tree threshold", doc["threshold"], np.float64)
+        if not np.isfinite(threshold).all():
+            raise ValueError("tree threshold must be finite")
+        return cls(split, _json_array("tree feature", doc["feature"], np.intp), threshold,
+                   _json_array("tree leaf class", doc["leaf"], np.int64), max_depth)
 
 
 def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = None,
@@ -360,11 +381,10 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
     rng = np.random.default_rng(seed)
     n_classes = int(y.max()) + 1
 
-    feature, threshold, children, value = [], [], [], []
+    split, feature, threshold, leaf = [], [], [], []
 
-    def build(idx, depth) -> int:
-        """Append the subtree over rows idx in pre-order; its root's index."""
-        i = len(value)
+    def build(idx, depth) -> None:
+        """Append the subtree over rows idx in pre-order."""
         best = None
         if depth < max_depth and idx.size >= 2 and not np.all(y[idx] == y[idx[0]]):
             best_score = math.inf
@@ -385,19 +405,18 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
                 if score < best_score:
                     best_score = score
                     best = (f, thr, mask)
-        f, thr, mask = best or (0, math.inf, None)  # a leaf: feature 0, threshold +inf
+        split.append(best is not None)
+        if best is None:
+            leaf.append(int(np.argmax(_weighted_class_mass(y[idx], w[idx], n_classes))))
+            return
+        f, thr, mask = best
         feature.append(f)
         threshold.append(thr)
-        value.append(-1 if best else
-                     int(np.argmax(_weighted_class_mass(y[idx], w[idx], n_classes))))
-        children.extend((i, i))
-        if best:
-            children[2 * i] = build(idx[mask], depth + 1)
-            children[2 * i + 1] = build(idx[~mask], depth + 1)
-        return i
+        build(idx[mask], depth + 1)
+        build(idx[~mask], depth + 1)
 
     build(np.arange(n), 0)
-    return RandomTree(feature, threshold, children, value, max_depth)
+    return RandomTree(split, feature, threshold, leaf, max_depth)
 
 
 def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
@@ -482,13 +501,8 @@ class KnnReference:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnnReference":
-        labels = [_integer("k-NN reference label", v) for v in doc["labels"]]
-        refs = doc["refs"]
-        if not {type(v) for row in refs for v in row} <= {int, float}:
-            for row in refs:
-                for v in row:
-                    _number("k-NN reference", v)
-        refs = np.array(refs, dtype=np.float64)
+        labels = _json_array("k-NN reference label", doc["labels"], np.int64)
+        refs = _json_array("k-NN reference", doc["refs"], np.float64, ndim=2)
         if not np.isfinite(refs).all():
             raise ValueError("k-NN references must be finite")
         return cls(refs, labels, _integer("k-NN k", doc["k"]))
@@ -531,15 +545,6 @@ class KnnHypothesis:
         """The member's own state; its ensemble stores the reference set once."""
         return {"kind": self.kind, "weights": self.weights.tolist()}
 
-    @classmethod
-    def from_dict(cls, doc: dict, reference: KnnReference | None = None) -> "KnnHypothesis":
-        """Rebuild on the ensemble's reference set; a version-1 document, which
-        carries its own ``refs``/``labels``/``k``, needs none.
-        """
-        if reference is None:
-            reference = KnnReference.from_dict(doc)
-        return cls(reference, doc["weights"])
-
 
 def weighted_error(hypothesis, X, y, w) -> float:
     """Total weight on the rows the hypothesis misclassifies."""
@@ -561,6 +566,8 @@ def hypothesis_from_dict(doc: dict, knn: KnnReference | None = None):
         cls = _HYPOTHESIS_KINDS[doc["kind"]]
     except KeyError:
         raise ValueError(f"unknown hypothesis kind {doc.get('kind')!r}") from None
-    if cls is KnnHypothesis:
-        return cls.from_dict(doc, knn)
-    return cls.from_dict(doc)
+    if cls is not KnnHypothesis:
+        return cls.from_dict(doc)
+    if knn is None:
+        raise ValueError('k-NN member without a reference set: its ensemble has no "knn"')
+    return KnnHypothesis(knn, _json_array("k-NN weight", doc["weights"], np.float64))

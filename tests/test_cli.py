@@ -276,45 +276,66 @@ def trained_models(tmp_path_factory):
 
 
 def _first_split(doc):
-    """(member index, root) of the first ensemble's first tree whose root splits."""
+    """(member index, hypothesis) of the first ensemble's first tree whose root splits."""
     for j, m in enumerate(doc["ensembles"][0]["members"]):
-        if "feature" in m["hypothesis"]["root"]:
-            return j, m["hypothesis"]["root"]
+        if m["hypothesis"]["split"][0] == 1:
+            return j, m["hypothesis"]
     raise AssertionError("no tree member splits")
 
 
 def _tree_leaf_k(doc):
-    j, node = _first_split(doc)
-    while "leaf" not in node:
-        node = node["left"]
-    node["leaf"] = len(doc["label_names"])
+    j, tree = _first_split(doc)
+    tree["leaf"][0] = len(doc["label_names"])
     return j
 
 
 def _tree_feature(doc):
     assert doc["n_features"] == 2
-    j, root = _first_split(doc)
-    root["feature"] = 7
+    j, tree = _first_split(doc)
+    tree["feature"][0] = 7
     return j
 
 
 def _tree_nan_threshold(doc):
-    j, root = _first_split(doc)
-    root["threshold"] = float("nan")
+    j, tree = _first_split(doc)
+    tree["threshold"][0] = float("nan")
     return j
 
 
 def _tree_missing_right(doc):
-    j, root = _first_split(doc)
-    del root["right"]
+    # the last node in pre-order is the rightmost leaf
+    j, tree = _first_split(doc)
+    del tree["split"][-1], tree["leaf"][-1]
+    return j
+
+
+def _tree_extra_leaf(doc):
+    j, tree = _first_split(doc)
+    tree.update(split=[0, 0], feature=[], threshold=[], leaf=[0, 1])
+    return j
+
+
+def _tree_short_feature(doc):
+    j, tree = _first_split(doc)
+    tree.update(split=[1, 0, 0], feature=[], threshold=[0.5], leaf=[0, 1])
+    return j
+
+
+def _tree_bool_split(doc):
+    j, tree = _first_split(doc)
+    tree["split"][0] = True
+    return j
+
+
+def _tree_float_feature(doc):
+    j, tree = _first_split(doc)
+    tree["feature"][0] = 1.0
     return j
 
 
 def _tree_string_leaf(doc):
-    j, node = _first_split(doc)
-    while "leaf" not in node:
-        node = node["left"]
-    node["leaf"] = "1"
+    j, tree = _first_split(doc)
+    tree["leaf"][0] = "1"
     return j
 
 
@@ -344,8 +365,8 @@ def _stump_bool_threshold(doc):
 
 
 def _tree_string_threshold(doc):
-    j, root = _first_split(doc)
-    root["threshold"] = "0.5"
+    j, tree = _first_split(doc)
+    tree["threshold"][0] = "0.5"
     return j
 
 
@@ -356,6 +377,22 @@ def _bool_alpha(doc):
 
 def _knn_nan_weight(doc):
     doc["ensembles"][0]["members"][0]["hypothesis"]["weights"][0] = float("nan")
+    return 0
+
+
+def _knn_string_weights(doc):
+    weights = doc["ensembles"][0]["members"][-1]["hypothesis"]["weights"]
+    weights[:] = ["0.5"] * len(weights)
+    return len(doc["ensembles"][0]["members"]) - 1
+
+
+def _knn_bool_weight(doc):
+    doc["ensembles"][0]["members"][0]["hypothesis"]["weights"][0] = True
+    return 0
+
+
+def _knn_no_reference(doc):
+    del doc["ensembles"][0]["knn"]
     return 0
 
 
@@ -408,7 +445,8 @@ class TestCorruptMembers:
         ("tree", _tree_leaf_k, "tree leaf class 2 is not in [0, 2)"),
         ("tree", _tree_feature, "tree feature 7 is not in [0, 2)"),
         ("tree", _tree_nan_threshold, "tree threshold must be finite"),
-        ("tree", _tree_missing_right, "missing key 'right'"),
+        ("tree", _tree_missing_right,
+         "tree split mask leaves 1 child slots empty: it is not a pre-order full binary tree"),
         ("tree", _tree_string_leaf, "tree leaf class must be an integer, got '1'"),
         ("tree", _tree_string_max_depth, "tree max_depth must be an integer, got '4'"),
         ("stump", _stump_class_k, "stump class 2 is not in [0, 2)"),
@@ -428,12 +466,24 @@ class TestCorruptMembers:
         ("knn", _knn_string_ref, "k-NN reference must be a number, got '0.5'"),
         ("tree", _no_members, "ensemble has no members"),
         ("stump", _infinite_alpha, "member vote weights must be positive and finite"),
+        ("tree", _tree_extra_leaf,
+         "tree node 1 has no parent: the split mask is not a pre-order full binary tree"),
+        ("tree", _tree_short_feature,
+         "tree has 1 split nodes and 2 leaves, but 0 features, 1 thresholds and 2 leaf classes"),
+        ("tree", _tree_bool_split, "tree split flag must be an integer, got True"),
+        ("tree", _tree_float_feature, "tree feature must be an integer, got 1.0"),
+        ("knn", _knn_string_weights, "k-NN weight must be a number, got '0.5'"),
+        ("knn", _knn_bool_weight, "k-NN weight must be a number, got True"),
+        ("knn", _knn_no_reference,
+         'k-NN member without a reference set: its ensemble has no "knn"'),
     ], ids=["tree-leaf", "tree-feature", "tree-nan-threshold", "tree-missing-right",
             "tree-string-leaf", "tree-string-max-depth", "stump-class", "stump-feature",
             "stump-bool-feature", "knn-label", "knn-width", "knn-float-label",
             "knn-string-label", "knn-string-k", "stump-bool-threshold",
             "tree-string-threshold", "bool-alpha", "string-beta", "knn-nan-weight",
-            "knn-nan-ref", "knn-string-ref", "no-members", "infinite-alpha"])
+            "knn-nan-ref", "knn-string-ref", "no-members", "infinite-alpha",
+            "tree-extra-leaf", "tree-short-feature", "tree-bool-split", "tree-float-feature",
+            "knn-string-weights", "knn-bool-weight", "knn-no-reference"])
     def test_evaluate_rejects_member(self, trained_models, tmp_path, capsys, kind, corrupt,
                                      message):
         doc, test = trained_models[kind]
@@ -446,6 +496,9 @@ class TestCorruptMembers:
         if member is not None:
             where += f", member {member}"
         assert capsys.readouterr() == ("", f"error: {where}: {message}\n")
+
+
+LABELS = "model: label_names must be a JSON array of at least two distinct strings"
 
 
 class TestCorruptModel:
@@ -500,8 +553,20 @@ class TestCorruptModel:
         (["n_features"], 2.9, "model: n_features must be an integer, got 2.9"),
         (["ensembles", 0, "partition_id"], "7",
          "partition 7: partition_id must be an integer, got '7'"),
+        (["label_names"], [0, 1], LABELS),
+        (["label_names"], ["0", "0"], LABELS),
+        (["label_names"], "01", LABELS),
+        (["label_names"], ["0"], LABELS),
+        (["provenance"], 5, "model: provenance must be a JSON object, got int"),
+        (["provenance"], [1, 2], "model: provenance must be a JSON object, got list"),
+        (["provenance"], "ab", "model: provenance must be a JSON object, got str"),
+        (["scaling", "mins"], {"0": 0.0}, "model: scaling mins values must be a JSON array"),
+        (["version"], 1, "model version 1 is no longer read: retrain the model to write version 3"),
+        (["version"], 2, "model version 2 is no longer read: retrain the model to write version 3"),
     ], ids=["nan-min", "inf-max", "string-min", "min-above-max", "short-mins", "short-maxs",
-            "float-n-features", "string-partition-id"])
+            "float-n-features", "string-partition-id", "int-label-names",
+            "repeated-label-names", "string-label-names", "one-label-name", "int-provenance",
+            "list-provenance", "string-provenance", "object-mins", "version-1", "version-2"])
     def test_evaluate_rejects_bad_field(self, trained_models, tmp_path, capsys, path, value,
                                         message):
         doc, test = trained_models["tree"]
@@ -515,3 +580,21 @@ class TestCorruptModel:
         model.write_text(json.dumps(doc))
         assert main(["evaluate", "--model", str(model), "--test", test]) == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind", ["tree", "stump"])
+    def test_evaluate_rejects_oversized_integer(self, trained_models, tmp_path, capsys, kind):
+        # JSON integers have no bound; past 64 bits numpy and float() overflow
+        doc, test = trained_models[kind]
+        doc = json.loads(json.dumps(doc))
+        if kind == "tree":
+            j, tree = _first_split(doc)
+            tree["feature"][0] = 2 ** 70
+        else:
+            j = 0
+            doc["ensembles"][0]["members"][0]["hypothesis"]["threshold"] = 10 ** 400
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert main(["evaluate", "--model", str(model), "--test", test]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            f"error: partition {doc['ensembles'][0]['partition_id']}, member {j}: ")

@@ -31,6 +31,7 @@ from noisegate.learners import (
     weighted_error,
 )
 
+import tree_oracle
 import vote_oracle
 from knn_oracle import knn_predict as knn_oracle
 from stump_oracle import train_stump as stump_oracle
@@ -313,7 +314,7 @@ def random_tree(rng, leaves, d, K) -> RandomTree:
         return {"feature": int(rng.integers(d)), "threshold": float(rng.choice(GRID)),
                 "left": node(left), "right": node(count - left)}
 
-    return RandomTree.from_dict({"kind": "random_tree", "max_depth": 4, "root": node(leaves)})
+    return RandomTree.from_dict(tree_oracle.document(node(leaves), 4))
 
 
 def awkward_rows(rng, n, d) -> np.ndarray:
@@ -371,8 +372,8 @@ class TestTreeTables:
 
     def test_special_values_route_like_the_oracle(self):
         # one split on 0.0: -0.0 and -inf go left; NaN and +inf go right
-        tree = RandomTree.from_dict({"kind": "random_tree", "max_depth": 1, "root": {
-            "feature": 0, "threshold": 0.0, "left": {"leaf": 0}, "right": {"leaf": 1}}})
+        tree = RandomTree.from_dict(tree_oracle.document(
+            {"feature": 0, "threshold": 0.0, "left": {"leaf": 0}, "right": {"leaf": 1}}, 1))
         E = PartitionEnsemble([(1.0, tree)], 0.5, 0, K=2)
         X = np.array([[-0.0], [0.0], [-np.inf], [np.nan], [np.inf], [5e-324]])
         assert ensemble_predict_batch(E, X).tolist() == [0, 0, 0, 1, 1, 1]
@@ -569,9 +570,9 @@ class TestModelSerialization:
     @pytest.mark.parametrize("doc, message", [
         ([], "model: expected a JSON object, got list"),
         ("noisegate-model", "model: expected a JSON object, got str"),
-        ({"format": "noisegate-model", "version": 2, "label_names": ["a", "b"],
+        ({"format": "noisegate-model", "version": MODEL_VERSION, "label_names": ["a", "b"],
           "n_features": 1, "ensembles": [1]}, "ensemble 0: expected a JSON object, got int"),
-        ({"format": "noisegate-model", "version": 2, "label_names": ["a", "b"],
+        ({"format": "noisegate-model", "version": MODEL_VERSION, "label_names": ["a", "b"],
           "n_features": 1, "ensembles": None}, "model: ensembles must be a JSON array, got NoneType"),
     ], ids=["list", "string", "entry", "ensembles"])
     def test_non_object_rejected(self, doc, message):
@@ -612,19 +613,6 @@ class TestModelSerialization:
             compute_beta(E, X, y)
         return GlobalModel(ensembles, ["a", "b"], None, {}, n_features=2)
 
-    @staticmethod
-    def as_version_1(doc):
-        """The same model in the version-1 layout: every k-NN member repeats
-        its ensemble's refs, labels and k."""
-        doc = json.loads(json.dumps(doc))
-        doc["version"] = 1
-        for e in doc["ensembles"]:
-            knn = e.pop("knn")
-            for m in e["members"]:
-                m["hypothesis"] = {"kind": "knn", "refs": knn["refs"], "labels": knn["labels"],
-                                   "weights": m["hypothesis"]["weights"], "k": knn["k"]}
-        return doc
-
     def test_knn_reference_stored_once_per_ensemble(self):
         doc = model_to_dict(self.build_knn())
         for e in doc["ensembles"]:
@@ -632,28 +620,29 @@ class TestModelSerialization:
             assert all(m["hypothesis"] == {"kind": "knn", "weights": m["hypothesis"]["weights"]}
                        for m in e["members"])
 
-    def test_version_1_knn_document_loads_like_its_resave(self):
-        G = self.build_knn()
-        v2 = model_to_dict(G)
-        old = model_from_dict(self.as_version_1(v2))
-        for E in old.ensembles:
-            assert len({id(h.reference) for _, h in E.members}) == 1
-        resaved = model_from_dict(json.loads(json.dumps(model_to_dict(old))))
-        probes = np.random.default_rng(2).normal(size=(300, 2))
-        assert np.array_equal(global_predict_batch(old, probes),
-                              global_predict_batch(resaved, probes))
-        assert np.array_equal(global_predict_batch(old, probes),
-                              global_predict_batch(G, probes))
-        assert json.dumps(model_to_dict(old)) == json.dumps(v2)
-
-    def test_version_1_knn_members_disagreeing_on_refs_rejected(self):
-        doc = self.as_version_1(model_to_dict(self.build_knn()))
-        members = doc["ensembles"][1]["members"]
-        assert len(members) >= 2
-        last = members[-1]["hypothesis"]
-        last["refs"] = [[9.0, 9.0]] + last["refs"][1:]
-        with pytest.raises(ValueError, match="partition 1"):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_rejected(self, version):
+        doc = model_to_dict(self.build_knn())
+        doc["version"] = version
+        with pytest.raises(ValueError) as err:
             model_from_dict(doc)
+        assert str(err.value) == (f"model version {version} is no longer read: "
+                                  "retrain the model to write version 3")
+
+    @pytest.mark.parametrize("version", ["3", 3.0, True, None])
+    def test_non_integer_version_rejected(self, version):
+        doc = model_to_dict(self.build())
+        doc["version"] = version
+        with pytest.raises(ValueError, match="newer than supported"):
+            model_from_dict(doc)
+
+    def test_knn_members_disagreeing_on_refs_not_saved(self):
+        G = self.build_knn()
+        alpha, h = G.ensembles[1].members[-1]
+        moved = KnnReference(h.reference.refs + 1.0, h.reference.labels, h.reference.k)
+        G.ensembles[1].members[-1] = (alpha, KnnHypothesis(moved, h.weights))
+        with pytest.raises(ValueError, match="partition 1: k-NN members disagree"):
+            model_to_dict(G)
 
 
 class TestOtherBaseLearners:

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -219,7 +220,8 @@ class TestRandomTree:
     def test_pure_node_is_leaf(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
         tree = train_random_tree(X, np.full(10, 3), uniform_weights(10), max_depth=4, seed=1)
-        assert tree.to_dict()["root"] == {"leaf": 3}
+        assert tree.to_dict() == {"kind": "random_tree", "max_depth": 4, "split": [0],
+                                  "feature": [], "threshold": [], "leaf": [3]}
 
     def test_xor_solved_at_depth_two(self):
         w = uniform_weights(4)
@@ -288,8 +290,8 @@ def on_every_threshold(tree, X):
 
 
 def from_root(root, max_depth):
-    """The tree a model file stores as this nested root."""
-    return RandomTree.from_dict({"kind": RandomTree.kind, "max_depth": max_depth, "root": root})
+    """The tree whose nested form is root, read from its model-file member."""
+    return RandomTree.from_dict(tree_oracle.document(root, max_depth))
 
 
 HAND_TREE = {
@@ -310,7 +312,7 @@ class TestTreeRoutingMatchesOracle:
         probes[-5:, rng.integers(3)] = np.nan  # fails <= at any node: goes right
         for max_depth in range(1, 9):
             tree = train_random_tree(X, y, w, max_depth=max_depth, seed=max_depth)
-            assert tree.depth() == tree_oracle.depth(tree.to_dict()["root"]) <= max_depth
+            assert tree.depth() == tree_oracle.depth(tree_oracle.nested(tree)) <= max_depth
             assert_routes_like_oracle(tree, probes)
 
     def test_rows_on_a_threshold_go_left(self):
@@ -385,7 +387,7 @@ class TestTreeRoutingMatchesOracle:
         X = rng.normal(size=(300, 3))
         y = rng.integers(0, 4, 300)
         tree = train_random_tree(X, y, uniform_weights(300), max_depth=30, seed=0)
-        root = tree.to_dict()["root"]
+        root = tree_oracle.nested(tree)
         n_nodes = tree_oracle.node_count(root)
         assert tree.depth() == tree_oracle.depth(root) > 8
         for arr in (tree.feature, tree.threshold, tree.value):
@@ -394,15 +396,28 @@ class TestTreeRoutingMatchesOracle:
         assert_routes_like_oracle(tree, np.vstack([X, rng.normal(size=(100, 3))]))
 
 
-def assert_nested_types(node):
-    """int features and leaves, float thresholds, keys in the file's order."""
-    if "leaf" in node:
-        assert list(node) == ["leaf"] and type(node["leaf"]) is int
-        return
-    assert list(node) == ["feature", "threshold", "left", "right"]
-    assert type(node["feature"]) is int and type(node["threshold"]) is float
-    assert_nested_types(node["left"])
-    assert_nested_types(node["right"])
+def assert_document_types(doc):
+    """Keys in the file's order; int flags, features and leaves, float thresholds."""
+    assert list(doc) == ["kind", "max_depth", "split", "feature", "threshold", "leaf"]
+    assert set(doc["split"]) <= {0, 1}
+    for key, kind in (("split", int), ("feature", int), ("threshold", float), ("leaf", int)):
+        assert all(type(v) is kind for v in doc[key]), key
+
+
+def complete_tree(rng, depth, d, K):
+    """A nested tree with every leaf at ``depth``: 2 ** depth leaves."""
+    if depth == 0:
+        return {"leaf": int(rng.integers(K))}
+    return {"feature": int(rng.integers(d)), "threshold": float(rng.normal()),
+            "left": complete_tree(rng, depth - 1, d, K),
+            "right": complete_tree(rng, depth - 1, d, K)}
+
+
+def assert_same_arrays(a, b):
+    for name in ("feature", "threshold", "children", "value"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert a.depth() == b.depth()
 
 
 class TestTreeLayout:
@@ -414,17 +429,26 @@ class TestTreeLayout:
         assert tree.value[[1, 3, 4]].tolist() == [0, 1, 2]
         assert tree.split_nodes().tolist() == [0, 2]
         assert tree.depth() == 2
+        assert tree.to_dict() == {"kind": "random_tree", "max_depth": 2, "split": [1, 0, 1, 0, 0],
+                                  "feature": [1, 0], "threshold": [0.5, -1.0], "leaf": [0, 1, 2]}
+        assert tree_oracle.nested(tree) == HAND_TREE
 
     def test_round_trip_rebuilds_equal_arrays(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(100, 3))
-        tree = train_random_tree(X, rng.integers(0, 4, 100), uniform_weights(100),
-                                 max_depth=6, seed=3)
-        back = RandomTree.from_dict(json.loads(json.dumps(tree.to_dict())))
-        for name in ("feature", "threshold", "children", "value"):
-            a, b = getattr(tree, name), getattr(back, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert back.depth() == tree.depth()
+        y = rng.integers(0, 4, 100)
+        trees = [train_random_tree(X, y, uniform_weights(100), max_depth=d, seed=d)
+                 for d in range(1, 7)]
+        trees += [from_root({"leaf": 3}, 4), from_root(complete_tree(rng, 6, 3, 4), 6)]
+        assert [t.depth() for t in trees[:6]] == list(range(1, 7))
+        assert (~np.isfinite(trees[-1].threshold)).sum() == 64
+        probes = np.vstack([X, rng.normal(scale=2.0, size=(200, 3))])
+        probes[-5:, 1] = np.nan
+        for tree in trees:
+            back = RandomTree.from_dict(json.loads(json.dumps(tree.to_dict())))
+            assert_same_arrays(tree, back)
+            assert np.array_equal(back.predict(probes), tree.predict(probes))
+            assert_routes_like_oracle(back, probes)
 
     def test_document_unchanged_by_predict(self):
         rng = np.random.default_rng(13)
@@ -434,7 +458,8 @@ class TestTreeLayout:
         before = json.dumps(tree.to_dict())
         tree.predict(X)
         assert json.dumps(tree.to_dict()) == before
-        assert set(tree.to_dict()) == {"kind", "max_depth", "root"}
+        assert set(tree.to_dict()) == {"kind", "max_depth", "split", "feature", "threshold",
+                                       "leaf"}
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_document_round_trip_keeps_its_bytes(self, K):
@@ -450,7 +475,8 @@ class TestTreeLayout:
         assert trees[2].depth() > 4 and trees[-1].depth() == trees[-2].depth() == 0
         for tree in trees:
             doc = tree.to_dict()
-            assert_nested_types(doc["root"])
+            assert_document_types(doc)
+            assert tree_oracle.document(tree_oracle.nested(tree), doc["max_depth"]) == doc
             back = RandomTree.from_dict(json.loads(json.dumps(doc)))
             assert json.dumps(back.to_dict()) == json.dumps(doc)
             for t in (tree, back):
@@ -460,13 +486,63 @@ class TestTreeLayout:
     @pytest.mark.parametrize("max_depth", ["4", 4.0, True])
     def test_non_integer_max_depth_rejected(self, max_depth):
         with pytest.raises(ValueError, match="tree max_depth must be an integer"):
-            RandomTree.from_dict({"kind": "random_tree", "max_depth": max_depth,
-                                  "root": {"leaf": 0}})
+            RandomTree.from_dict(tree_oracle.document({"leaf": 0}, max_depth))
 
     def test_non_finite_threshold_rejected(self):
         with pytest.raises(ValueError, match="tree threshold must be finite"):
             from_root({"feature": 0, "threshold": float("nan"),
                        "left": {"leaf": 0}, "right": {"leaf": 1}}, 1)
+
+    @pytest.mark.parametrize("split, message", [
+        ([], "tree split mask leaves 1 child slots empty"),
+        ([1, 0], "tree split mask leaves 1 child slots empty"),
+        ([1, 1, 0, 0], "tree split mask leaves 1 child slots empty"),
+        ([1, 1, 0], "tree split mask leaves 2 child slots empty"),
+        ([0, 0], "tree node 1 has no parent"),
+        ([1, 0, 0, 1, 0, 0], "tree node 3 has no parent"),
+    ])
+    def test_split_mask_must_be_a_pre_order_full_binary_tree(self, split, message):
+        # the other arrays fit the mask, so only its shape is at fault
+        doc = {"kind": "random_tree", "max_depth": 4, "split": split,
+               "feature": [0] * sum(split), "threshold": [0.5] * sum(split),
+               "leaf": [0] * (len(split) - sum(split))}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RandomTree.from_dict(doc)
+
+    @pytest.mark.parametrize("key, change", [
+        ("feature", lambda v: v[:-1]), ("threshold", lambda v: v + [0.5]),
+        ("leaf", lambda v: v[1:]), ("leaf", lambda v: v + [0]),
+    ])
+    def test_array_lengths_must_fit_the_mask(self, key, change):
+        doc = tree_oracle.document(HAND_TREE, 2)
+        doc[key] = change(doc[key])
+        with pytest.raises(ValueError, match="tree has 2 split nodes and 3 leaves, but"):
+            RandomTree.from_dict(doc)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("split", True, "tree split flag must be an integer, got True"),
+        ("split", 1.0, "tree split flag must be an integer, got 1.0"),
+        ("split", 2, "tree split flag 2 is not in [0, 2)"),
+        ("split", -1, "tree split flag -1 is not in [0, 2)"),
+        ("feature", "1", "tree feature must be an integer, got '1'"),
+        ("leaf", False, "tree leaf class must be an integer, got False"),
+        ("leaf", None, "tree leaf class must be an integer, got None"),
+        ("threshold", None, "tree threshold must be a number, got None"),
+        ("threshold", float("-inf"), "tree threshold must be finite"),
+    ])
+    def test_array_values_checked(self, key, value, message):
+        doc = tree_oracle.document(HAND_TREE, 2)
+        doc[key][0] = value
+        with pytest.raises(ValueError) as err:
+            RandomTree.from_dict(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("key", ["split", "feature", "threshold", "leaf"])
+    def test_arrays_must_be_json_arrays(self, key):
+        doc = tree_oracle.document(HAND_TREE, 2)
+        doc[key] = {"0": doc[key][0]}
+        with pytest.raises(TypeError, match="values must be a JSON array$"):
+            RandomTree.from_dict(doc)
 
 
 class TestKnn:
@@ -703,9 +779,8 @@ class TestSerialization:
         (float("inf"), "tree threshold must be finite"),
     ])
     def test_tree_threshold_must_be_a_finite_number(self, value, message):
-        doc = {"kind": "random_tree", "max_depth": 2,
-               "root": {"feature": 0, "threshold": value, "left": {"leaf": 0},
-                        "right": {"leaf": 1}}}
+        doc = {"kind": "random_tree", "max_depth": 2, "split": [1, 0, 0], "feature": [0],
+               "threshold": [value], "leaf": [0, 1]}
         with pytest.raises(ValueError) as err:
             hypothesis_from_dict(doc)
         assert str(err.value) == message
@@ -714,8 +789,8 @@ class TestSerialization:
         stump = hypothesis_from_dict(
             {"kind": "stump", "feature": 0, "threshold": 1, "left": 0, "right": 1})
         tree = hypothesis_from_dict(
-            {"kind": "random_tree", "max_depth": 2,
-             "root": {"feature": 0, "threshold": 1, "left": {"leaf": 0}, "right": {"leaf": 1}}})
+            {"kind": "random_tree", "max_depth": 2, "split": [1, 0, 0], "feature": [0],
+             "threshold": [1], "leaf": [0, 1]})
         X = np.array([[0.5], [1.0], [1.5]])
         assert stump.predict(X).tolist() == tree.predict(X).tolist() == [0, 0, 1]
 
