@@ -17,6 +17,7 @@ import numpy as np
 from .data import ScalingSpec
 from .learners import (
     _ROUTE_BYTES,
+    DecisionStump,
     KnnHypothesis,
     KnnReference,
     RandomTree,
@@ -146,7 +147,7 @@ def adaboost_train(
     w = uniform_weights(n)
     shared = None
     if base.kind == "stump":
-        shared = StumpIndex(X)
+        shared = StumpIndex(X, y)
     elif base.kind == "knn":
         shared = KnnReference(X, y, min(base.knn_k, n))
     nearest: dict[KnnReference, np.ndarray] = {}
@@ -285,11 +286,32 @@ def _tree_scores(compiled, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stump_scores(E: PartitionEnsemble, X: np.ndarray) -> np.ndarray:
+    """Summed vote weight per class of an all-stump ensemble, shape (rows, K).
+
+    Per member, ``alpha * (x <= t)`` goes to the left class's row of a (K,
+    rows) array and ``alpha * ~(x <= t)`` to the right class's, so a NaN goes
+    right, as in ``DecisionStump.predict``. A row gets alpha in one of the
+    adds and 0.0 in the other, which changes no sum, so in member order the
+    sums have the bits of one add per row per member.
+    """
+    scores = np.zeros((E.K, X.shape[0]))
+    le = np.empty(X.shape[0], dtype=bool)
+    vote = np.empty(X.shape[0])
+    for alpha, h in E.members:
+        np.less_equal(X[:, h.feature], h.threshold, out=le)
+        scores[h.left] += np.multiply(le, alpha, out=vote)
+        scores[h.right] += np.multiply(np.logical_not(le, out=le), alpha, out=vote)
+    return scores.T
+
+
 def ensemble_scores(E: PartitionEnsemble, X) -> np.ndarray:
     """Summed vote weight per class, shape (rows, K). An all-tree ensemble of
-    at most 64 leaves per tree is scored from its threshold tables, any other
-    one member by member."""
+    at most 64 leaves per tree is scored from its threshold tables, an
+    all-stump one a column at a time, any other one member by member."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if all(isinstance(h, DecisionStump) for _, h in E.members):
+        return _stump_scores(E, X)
     compiled = _compile_trees(E)
     if compiled is not None:
         return _tree_scores(compiled, X)
@@ -415,6 +437,8 @@ def model_from_dict(doc: dict) -> GlobalModel:
             beta = _number("beta", e["beta"])
             knn = KnnReference.from_dict(e["knn"]) if "knn" in e else None
             member_docs = e["members"]
+            if not isinstance(member_docs, list):
+                raise TypeError(f"members must be a JSON array, got {type(member_docs).__name__}")
         members = []
         for j, m in enumerate(member_docs):
             with _located(f"partition {pid}, member {j}"):

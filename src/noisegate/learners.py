@@ -118,11 +118,14 @@ class DecisionStump:
 
 
 # Temporaries stay near this many elements for any input: the stump search
-# takes columns in blocks of this many (row, column, class) values, the k-NN
-# search takes query rows in blocks of this many distances. Columns are
-# independent, so blocking cannot change a stump. A k-NN query set that fits
-# one block gets one matrix product; BLAS picks kernels by shape, so cutting
-# a product into row blocks can change its last bit.
+# takes columns in blocks of this many (row, column, class) values, which
+# bounds the class masses it gathers at a block's cuts (at most n - 1 per
+# column and class), while the block's weights and prefix sums take n and
+# n + K values per column; the k-NN search takes query rows in blocks of this
+# many distances. Columns are independent, so blocking cannot change a stump.
+# A k-NN query set that fits one block gets one matrix product; BLAS picks
+# kernels by shape, so cutting a product into row blocks can change its last
+# bit.
 _BLOCK_ELEMENTS = 1 << 20
 # Tree routing and the vote's tree tables take rows in blocks whose buffers
 # hold about this many bytes, reused across blocks: a few hundred KB per
@@ -132,20 +135,55 @@ _ROUTE_BYTES = 1 << 18
 
 
 class StumpIndex:
-    """Each column's stable sort order over one training set, and which of the
-    n - 1 cuts along it fall between two distinct values. Shared by every
+    """One training set's columns and labels, sorted once and shared by every
     stump fit of one boosted ensemble: only the weights change between rounds.
+
+    ``rows[f]`` holds column f's rows class by class, class c's at
+    ``first[c]:first[c + 1]`` in the column's stable sort order. A fit sums
+    each class's weights along its run into a (column, n + K) layout that
+    puts class c's run one slot right of a 0.0 at ``first[c] + c``. A cut lies
+    between sorted positions i and i + 1 that hold distinct values;
+    ``cuts[c]`` holds per cut the flat index, in that layout, of class c's sum
+    over the column's first i + 1 rows. Column f's cuts are
+    ``cuts[:, start[f]:start[f + 1]]``, in sort order. The indices are int32
+    while the layout holds fewer than 2**31 values, so a column takes 4 bytes
+    per row plus 4 K per cut, at most n - 1 cuts, against its 8 bytes per row
+    in X.
     """
 
-    def __init__(self, X):
+    def __init__(self, X, y):
         X = np.asarray(X, dtype=np.float64)
-        # one row per column, so each column's order is contiguous
-        self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-        vals = np.take_along_axis(X.T, self.order, axis=1)
-        # cut i lies between sorted positions i and i + 1; the last position
-        # has no successor
-        self.no_cut = np.ones(self.order.shape, dtype=bool)
-        self.no_cut[:, :-1] = ~(vals[:, :-1] < vals[:, 1:])
+        y = np.asarray(y, dtype=np.int64)
+        n, d = X.shape
+        self.first = np.concatenate(([0], np.cumsum(np.bincount(y))))
+        K = self.first.size - 1
+        zero = self.first[:-1] + np.arange(K)
+        dtype = np.int32 if d * (n + K) < 2**31 else np.intp
+        order = np.argsort(X.T, axis=1, kind="stable")
+        labels = y[order]
+        vals = np.take_along_axis(X.T, order, axis=1)
+        column, pos = np.nonzero(vals[:, :-1] < vals[:, 1:])
+        self.start = np.searchsorted(column, np.arange(d + 1)).astype(dtype)
+        self.cuts = np.empty((K, column.size), dtype=dtype)
+        base = column * (n + K)
+        place = np.empty((d, n), dtype=dtype)  # each sorted position's place in rows
+        for c in range(K):
+            is_c = labels == c
+            seen = np.cumsum(is_c, axis=1, dtype=dtype)  # class c's rows up to each position
+            np.add(base + zero[c], seen[column, pos], out=self.cuts[c])
+            np.copyto(place, seen + (self.first[c] - 1), where=is_c)
+        self.rows = np.empty((d, n), dtype=dtype)
+        np.put_along_axis(self.rows, place, order, axis=1)
+
+    def check(self, X, y) -> None:
+        """Raise ValueError unless the index was built from X's shape and labels y."""
+        d, n = self.rows.shape
+        if X.shape != (n, d):
+            raise ValueError(f"stump index is for shape {(n, d)}, not {X.shape}")
+        K = self.first.size - 1
+        if y.shape != (n,) or d and not np.array_equal(
+                y[self.rows[0]], np.repeat(np.arange(K), np.diff(self.first))):
+            raise ValueError("stump index was built with other labels")
 
 
 def _misclassified(masses: list) -> np.ndarray:
@@ -173,53 +211,70 @@ def train_stump(X, y, w, index: StumpIndex | None = None) -> DecisionStump:
 
     Minimizes weighted misclassification with weighted-majority leaves.
     Ties keep the lowest feature index, then the lowest threshold. ``index``
-    is X's column index; without one the fit builds its own.
+    is the index of (X, y); without one the fit builds its own.
+
+    Each class's mass left of a cut is its prefix sum in the index's layout:
+    the running sum the one-hot search takes along the whole column, since
+    adding another class's 0.0 changes no sum.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, d = X.shape
     w = validate_weights(w, n)
     if index is None:
-        index = StumpIndex(X)
-    elif index.order.shape != (d, n):
-        raise ValueError(f"stump index is for shape {index.order.shape[::-1]}, not {(n, d)}")
+        index = StumpIndex(X, y)
+    else:
+        index.check(X, y)
     n_classes = int(y.max()) + 1
     total_mass = _weighted_class_mass(y, w, n_classes)
     majority = int(np.argmax(total_mass))
     best_err = float(total_mass.sum() - total_mass.max())
-    best = DecisionStump(0, 0.0, majority, majority)
     if n_classes < 2:
-        return best
-    class_w = [np.where(y == c, w, 0.0) for c in range(n_classes)]
-    # per column: least error over its cuts, where it falls, and the class
-    # masses left of it
-    col_err = np.empty(d)
-    col_cut = np.empty(d, dtype=np.intp)
+        return DecisionStump(0, 0.0, majority, majority)
+    # per column: least error over its cuts, the first cut where it falls,
+    # and the class masses left of that cut
+    col_err = np.full(d, np.inf)
+    col_cut = np.zeros(d, dtype=np.intp)
     col_left = np.empty((n_classes, d))
+    width = n + n_classes
+    first = index.first.tolist()
+    zero = index.first[:-1] + np.arange(n_classes)
     step = max(1, _BLOCK_ELEMENTS // (n * n_classes))
+    sums = np.empty((min(step, d), width))
+    sums[:, zero] = 0.0
     for lo in range(0, d, step):
-        order = index.order[lo:lo + step]
-        left = [np.take(wc, order) for wc in class_w]
-        for m in left:
-            np.cumsum(m, axis=1, out=m)
+        start = index.start[lo:lo + step + 1]
+        cols = np.flatnonzero(start[:-1] < start[1:])
+        if cols.size == 0:
+            continue
+        block = w.take(index.rows[lo:lo + step])
+        for c in range(n_classes):
+            a, b = first[c], first[c + 1]
+            np.cumsum(block[:, a:b], axis=1, out=sums[:block.shape[0], a + c + 1:b + c + 1])
+        flat = sums.ravel()
+        left = [flat.take(cut - lo * width) for cut in index.cuts[:, start[0]:start[-1]]]
         err = _misclassified(left)
         err += _misclassified([t - m for t, m in zip(total_mass, left)])
-        err[index.no_cut[lo:lo + step]] = np.inf
-        cut = np.argmin(err, axis=1)
-        rows = np.arange(cut.size)
-        col_err[lo:lo + step] = err[rows, cut]
-        col_cut[lo:lo + step] = cut
+        group = (start[cols] - start[0]).astype(np.intp)  # each column's first cut
+        least = np.minimum.reduceat(err, group)
+        hit = err == np.repeat(least, np.diff(start)[cols])
+        cut = np.minimum.reduceat(np.where(hit, np.arange(err.size), err.size), group)
+        col_err[lo + cols] = least
+        col_cut[lo + cols] = cut + start[0]
         for c, m in enumerate(left):
-            col_left[c, lo:lo + step] = m[rows, cut]
+            col_left[c, lo + cols] = m[cut]
+    best = None
     for f, err_f in enumerate(col_err.tolist()):
         if err_f < best_err - 1e-15:
-            below, above = index.order[f, col_cut[f]:col_cut[f] + 2]
-            left_mass = col_left[:, f]
-            best_err = err_f
-            best = DecisionStump(f, float((X[below, f] + X[above, f]) / 2.0),
-                                 int(np.argmax(left_mass)),
-                                 int(np.argmax(total_mass - left_mass)))
-    return best
+            best_err, best = err_f, f
+    if best is None:
+        return DecisionStump(0, 0.0, majority, majority)
+    # the rows left of the cut: per class, its sum's index past its 0.0
+    i = int((index.cuts[:, col_cut[best]] - (best * width + zero)).sum())
+    below, above = np.partition(X[:, best], (i - 1, i))[i - 1:i + 1]
+    left_mass = col_left[:, best]
+    return DecisionStump(best, float((below + above) / 2.0),
+                         int(np.argmax(left_mass)), int(np.argmax(total_mass - left_mass)))
 
 
 class RandomTree:
@@ -339,9 +394,9 @@ class RandomTree:
 
     def check(self, n_features: int, K: int) -> None:
         """Raise ValueError unless the tree fits a model of this shape."""
-        internal = self.split_nodes()
-        _check_range("tree feature", self.feature[internal], n_features)
-        _check_range("tree leaf class", np.delete(self.value, internal), K)
+        split = np.isfinite(self.threshold)
+        _check_range("tree feature", self.feature[split], n_features)
+        _check_range("tree leaf class", self.value[~split], K)
 
     def to_dict(self) -> dict:
         split = np.isfinite(self.threshold)

@@ -436,6 +436,10 @@ def _no_members(doc):
     doc["ensembles"][0]["members"] = []
 
 
+def _int_members(doc):
+    doc["ensembles"][0]["members"] = 5
+
+
 def _infinite_alpha(doc):
     doc["ensembles"][0]["members"][-1]["alpha"] = float("inf")
 
@@ -465,6 +469,7 @@ class TestCorruptMembers:
         ("knn", _knn_nan_ref, "k-NN references must be finite"),
         ("knn", _knn_string_ref, "k-NN reference must be a number, got '0.5'"),
         ("tree", _no_members, "ensemble has no members"),
+        ("tree", _int_members, "members must be a JSON array, got int"),
         ("stump", _infinite_alpha, "member vote weights must be positive and finite"),
         ("tree", _tree_extra_leaf,
          "tree node 1 has no parent: the split mask is not a pre-order full binary tree"),
@@ -481,7 +486,7 @@ class TestCorruptMembers:
             "stump-bool-feature", "knn-label", "knn-width", "knn-float-label",
             "knn-string-label", "knn-string-k", "stump-bool-threshold",
             "tree-string-threshold", "bool-alpha", "string-beta", "knn-nan-weight",
-            "knn-nan-ref", "knn-string-ref", "no-members", "infinite-alpha",
+            "knn-nan-ref", "knn-string-ref", "no-members", "int-members", "infinite-alpha",
             "tree-extra-leaf", "tree-short-feature", "tree-bool-split", "tree-float-feature",
             "knn-string-weights", "knn-bool-weight", "knn-no-reference"])
     def test_evaluate_rejects_member(self, trained_models, tmp_path, capsys, kind, corrupt,

@@ -421,6 +421,32 @@ class TestTreeTables:
         self.assert_oracle(E, awkward_rows(rng, 400, 3))
 
 
+class TestStumpColumnVote:
+    """All-stump ensembles add each member's vote a column at a time."""
+
+    @pytest.mark.parametrize("K", range(2, 13))
+    def test_scores_equal_oracle(self, K, monkeypatch):
+        rng = np.random.default_rng(120 + K)
+        members = []
+        for i in range(40):
+            left = int(rng.integers(K))
+            right = left if i % 4 == 0 else int(rng.integers(K))  # some vote one class
+            members.append((float(rng.choice((0.1, 0.3, 0.7))),
+                            DecisionStump(int(rng.integers(3)), float(rng.choice(GRID)),
+                                          left, right)))
+        E = PartitionEnsemble(members, 0.5, 0, K=K)
+        X = awkward_rows(rng, 400, 3)  # NaN, +-inf, -0.0 and values equal to thresholds
+        expected = vote_oracle.ensemble_scores(E, X)
+
+        def no_predict(*args):
+            raise AssertionError("an all-stump ensemble voted member by member")
+
+        monkeypatch.setattr(DecisionStump, "predict", no_predict)
+        assert np.array_equal(ensemble_scores(E, X), expected)
+        assert np.array_equal(ensemble_scores(E, np.asfortranarray(X)), expected)
+        assert np.array_equal(ensemble_predict_batch(E, X), np.argmax(expected, axis=1))
+
+
 class TestComputeBeta:
     def test_perfect(self):
         E = PartitionEnsemble([(1.0, constant(1))], 0.0, 0, K=2)

@@ -132,6 +132,23 @@ def assert_stump_matches_oracle(X, y, w, index=None):
     assert train_stump(X, y, w, index).to_dict() == stump_oracle(X, y, w).to_dict()
 
 
+def sparse_columns(rng, n, d):
+    """d columns of n // 20 nonzero rows each: at least 90% zeros from n = 10."""
+    X = np.zeros((n, d))
+    for f in range(d):
+        X[rng.choice(n, max(1, n // 20), replace=False), f] = rng.random(max(1, n // 20))
+    return X
+
+
+def awkward_stump_columns(rng, n):
+    """Constant columns first, between the others and last, sparse columns,
+    and column 5, whose only cut is at position n - 2: every row but one is 0."""
+    only_top = np.zeros(n)
+    only_top[rng.integers(n)] = 1.0
+    return np.c_[np.full(n, 3.0), np.zeros(n), sparse_columns(rng, n, 2), np.full(n, -1.0),
+                 only_top, sparse_columns(rng, n, 3), np.full(n, 0.5)]
+
+
 class TestStumpIndexMatchesOracle:
     @pytest.mark.parametrize("tie_heavy", [False, True], ids=["distinct", "tie-heavy"])
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
@@ -197,23 +214,67 @@ class TestStumpIndexMatchesOracle:
             y = rng.integers(0, 3, 10)
             assert_stump_matches_oracle(X, y, random_weights(rng, 10, zero_fraction=0.2))
 
+    @pytest.mark.parametrize("K", [2, 3, 9])
+    def test_sparse_and_cutless_columns(self, K):
+        rng = np.random.default_rng(30 + K)
+        for _ in range(20):
+            n = int(rng.integers(20, 80))
+            X = awkward_stump_columns(rng, n)
+            assert (X[:, [2, 3, 6, 7, 8]] == 0.0).mean(axis=0).min() >= 0.9
+            y = rng.integers(0, K, n)
+            w = random_weights(rng, n, zero_fraction=0.1)
+            assert_stump_matches_oracle(X, y, w)
+            assert_stump_matches_oracle(X, y, w, StumpIndex(X, y))
+        # the cut at n - 2 separates the classes, so it wins
+        y = (X[:, 5] > 0).astype(np.int64)
+        stump = train_stump(X, y, uniform_weights(n))
+        assert (stump.feature, stump.threshold) == (5, 0.5)
+        assert_stump_matches_oracle(X, y, uniform_weights(n))
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_block_boundaries_split_the_columns(self, K, monkeypatch):
+        # two columns per block: the first block has no cut at all, and the
+        # others each pair two different kinds of column
+        n = 40
+        monkeypatch.setattr(learners, "_BLOCK_ELEMENTS", 2 * n * K)
+        rng = np.random.default_rng(40 + K)
+        for _ in range(20):
+            X = awkward_stump_columns(rng, n)
+            y = rng.integers(0, K, n)
+            w = random_weights(rng, n, zero_fraction=0.1)
+            assert_stump_matches_oracle(X, y, w)
+            assert_stump_matches_oracle(X, y, w, StumpIndex(X, y))
+
     def test_shared_index_across_weight_vectors(self):
         rng = np.random.default_rng(12)
         X = tie_heavy_grid(rng, 40, d=4, side=5)
         y = rng.integers(0, 3, 40)
-        index = StumpIndex(X)
+        index = StumpIndex(X, y)
         for _ in range(20):
             assert_stump_matches_oracle(X, y, random_weights(rng, 40, 0.1), index)
 
     def test_index_for_another_shape_rejected(self):
         X = np.zeros((4, 2))
         with pytest.raises(ValueError, match="stump index"):
-            train_stump(X, np.array([0, 1, 0, 1]), uniform_weights(4), StumpIndex(X.T))
+            train_stump(X, np.array([0, 1, 0, 1]), uniform_weights(4),
+                        StumpIndex(X.T, np.array([0, 1])))
+
+    def test_index_for_other_labels_rejected(self):
+        rng = np.random.default_rng(13)
+        X = tie_heavy_grid(rng, 10, d=3)
+        y = np.arange(10) % 2
+        index = StumpIndex(X, y)
+        # the same counts in another order, another class count, too few labels
+        for other in (y[::-1], np.arange(10) % 3, y[:9]):
+            with pytest.raises(ValueError, match="stump index was built with other labels"):
+                train_stump(X, other, uniform_weights(10), index)
 
     def test_index_size_bounded_by_the_features(self):
+        # distinct values: every one of the n - 1 positions per column is a cut
         X = np.random.default_rng(0).normal(size=(200, 30))
-        index = StumpIndex(X)
-        assert index.order.nbytes + index.no_cut.nbytes <= 2 * X.nbytes
+        for K in (2, 3):
+            index = StumpIndex(X, np.arange(200) % K)
+            assert sum(a.nbytes for a in vars(index).values()) <= 2 * X.nbytes
 
 
 class TestRandomTree:
