@@ -113,6 +113,13 @@ class ScalingSpec:
             raise ValueError("mins/maxs shape mismatch")
         if (self.mins > self.maxs).any():
             raise ValueError("column min exceeds max")
+        with np.errstate(over="ignore"):
+            wide = np.flatnonzero(~np.isfinite(self.maxs - self.mins))
+        if wide.size:
+            j = int(wide[0])
+            lo, hi = float(self.mins[j]), float(self.maxs[j])
+            raise ValueError(f"feature {j + 1} spans [{lo}, {hi}], a range wider than "
+                             "float64 holds")
 
 
 def _iter_lines(text):
@@ -410,8 +417,11 @@ def apply_scale(spec: ScalingSpec, data: Dataset) -> Dataset:
         raise ValueError(f"dataset has {data.d} columns, scaling spec has {spec.mins.shape[0]}")
     span = spec.maxs - spec.mins
     nonconst = span > 0
-    scaled = np.subtract(data.features, spec.mins, order="F")
-    np.divide(scaled, span, out=scaled, where=nonconst)
+    # a value far outside the fitted range may overflow to +-inf, which the
+    # clip maps to 1 or 0 as it would the finite quotient
+    with np.errstate(over="ignore"):
+        scaled = np.subtract(data.features, spec.mins, order="F")
+        np.divide(scaled, span, out=scaled, where=nonconst)
     scaled[:, ~nonconst] = 0.0
     np.clip(scaled, 0.0, 1.0, out=scaled)
     return Dataset(scaled, data.labels, list(data.label_names))

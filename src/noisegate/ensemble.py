@@ -245,33 +245,75 @@ def _compile_trees(E: PartitionEnsemble):
     return tables, classes, alphas
 
 
-def _tree_scores(compiled, X: np.ndarray) -> np.ndarray:
-    """Summed vote weight per class of a compiled all-tree ensemble.
+def _tree_ranks(ensembles, X: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """{f: (U, rank)} per feature f that a split of an all-tree ensemble
+    among ``ensembles`` uses: U holds those ensembles' distinct thresholds on
+    f, sorted, and rank each row's count of U below its value (|U| for a
+    NaN), in the narrowest unsigned dtype that holds |U|.
 
-    Rows go a block at a time. Per feature, ``searchsorted`` counts the
-    thresholds below x: exactly the nodes where x fails ``<=`` and goes
-    right, a NaN at every one. The AND of the gathered table rows keeps the
-    leaves each tree can still reach; the lowest, ``a & (~a + 1)``, is where
-    the row exits. One bincount over row * K + class, weighted by the alphas
-    in member order, adds them from 0.0 in that order, as ``np.add.at`` does
-    one member at a time, so the sums have its bits.
+    An ensemble's thresholds are all in U, so its count below x is its count
+    below ``U[rank]``, or all of them at rank |U|: the rows are searched once
+    per feature for the whole model. ``np.unique`` keeps one of -0.0 and
+    0.0, which every search compares as equal.
+    """
+    feature, threshold = [], []
+    for E in ensembles:
+        if all(isinstance(h, RandomTree) for _, h in E.members):
+            for _, h in E.members:
+                split = h.split_nodes()
+                feature.append(h.feature[split])
+                threshold.append(h.threshold[split])
+    if not feature:
+        return {}
+    feature, threshold = np.concatenate(feature), np.concatenate(threshold)
+    n, step = X.shape[0], _ROUTE_BYTES // 8  # rows per search: an intp each
+    ranks = {}
+    for f in np.unique(feature).tolist():
+        U = np.unique(threshold[feature == f])
+        rank = np.empty(n, dtype=np.min_scalar_type(U.size))
+        for lo in range(0, n, step):
+            rank[lo:lo + step] = np.searchsorted(U, X[lo:lo + step, f])
+        ranks[f] = U, rank
+    return ranks
+
+
+def _tree_scores(compiled, ranks: dict, n: int) -> np.ndarray:
+    """Summed vote weight per class of a compiled all-tree ensemble, for the
+    n rows ranked in ``ranks`` (``_tree_ranks`` of ensembles including it).
+
+    Per used feature, ``np.searchsorted(t, U)`` and then ``t.size`` map a
+    rank to the count of the ensemble's thresholds below x: exactly the
+    nodes where x fails ``<=`` and goes right, a NaN at every one. That
+    table of |U| + 1 counts is all this ensemble adds to the ranks; no
+    n-length array is built. Rows go a block at a time. The AND of the
+    gathered table rows keeps the leaves each tree can still reach; the
+    lowest, ``a & (~a + 1)``, is where the row exits. One bincount over
+    row * K + class, weighted by the alphas in member order, adds them from
+    0.0 in that order, as ``np.add.at`` does one member at a time, so the
+    sums have its bits.
     """
     tables, classes, alphas = compiled
-    (K, T), n = classes.shape, X.shape[0]
+    K, T = classes.shape
+    lookups = []
+    for f, t, tab in tables:
+        U, rank = ranks[f]
+        lookups.append((np.append(np.searchsorted(t, U), t.size), rank, tab))
     # per (block row, tree): two words, a flag, a flat index and a weight
     m = max(1, min(n, _ROUTE_BYTES // (T * (2 * classes.itemsize + 17))))
     word = np.empty((2, m, T), dtype=classes.dtype)
     flat = np.empty((m, T), dtype=np.intp)
+    count = np.empty(m, dtype=np.intp)
     row_start = np.arange(0, m * K, K)[:, None]
     weights = np.tile(alphas, m)
+    every_leaf = np.iinfo(classes.dtype).max
     out = np.empty((n, K))
     for lo in range(0, n, m):
-        B = X[lo:lo + m]
-        k = B.shape[0]
-        a, g = word[0, :k], word[1, :k]
-        a.fill(np.iinfo(classes.dtype).max)
-        for f, t, tab in tables:
-            tab.take(np.searchsorted(t, B[:, f]), axis=0, out=g, mode="clip")
+        k = min(m, n - lo)
+        a, g, below = word[0, :k], word[1, :k], count[:k]
+        a.fill(every_leaf)
+        for counts, rank, tab in lookups:
+            counts.take(rank[lo:lo + k], out=below, mode="clip")
+            tab.take(below, axis=0, out=g, mode="clip")
             a &= g
         np.invert(a, out=g)
         g += classes.dtype.type(1)
@@ -305,16 +347,22 @@ def _stump_scores(E: PartitionEnsemble, X: np.ndarray) -> np.ndarray:
     return scores.T
 
 
-def ensemble_scores(E: PartitionEnsemble, X) -> np.ndarray:
+def ensemble_scores(E: PartitionEnsemble, X, ranks: dict | None = None) -> np.ndarray:
     """Summed vote weight per class, shape (rows, K). An all-tree ensemble of
     at most 64 leaves per tree is scored from its threshold tables, an
-    all-stump one a column at a time, any other one member by member."""
+    all-stump one a column at a time, any other one member by member.
+
+    ``ranks`` is ``_tree_ranks`` of X over ensembles that include E; by
+    default the tables rank X against E's own thresholds. The tables live
+    only in this call, so a caller scoring ensembles in turn holds one
+    ensemble's tables at a time."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if all(isinstance(h, DecisionStump) for _, h in E.members):
         return _stump_scores(E, X)
     compiled = _compile_trees(E)
     if compiled is not None:
-        return _tree_scores(compiled, X)
+        return _tree_scores(compiled, _tree_ranks([E], X) if ranks is None else ranks,
+                            X.shape[0])
     scores = np.zeros(X.shape[0] * E.K)
     row_start = np.arange(0, X.shape[0] * E.K, E.K)
     nearest: dict[KnnReference, np.ndarray] = {}
@@ -360,12 +408,14 @@ class GlobalModel:
 
 def global_predict_batch(G: GlobalModel, X) -> np.ndarray:
     """Accuracy-weighted vote across partition ensembles; ties take the
-    lowest class id."""
+    lowest class id. The rows are ranked against the thresholds of all the
+    tree ensembles once, not once per ensemble."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    ranks = _tree_ranks(G.ensembles, X)
     votes = np.zeros(X.shape[0] * G.K)
     row_start = np.arange(0, X.shape[0] * G.K, G.K)
     for E in G.ensembles:
-        _add_votes(votes, row_start, E.beta, ensemble_predict_batch(E, X))
+        _add_votes(votes, row_start, E.beta, np.argmax(ensemble_scores(E, X, ranks), axis=1))
     return np.argmax(votes.reshape(-1, G.K), axis=1)
 
 

@@ -158,6 +158,10 @@ def train_ocsvm(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    # a NaN or inf would make every gradient NaN, and the solver spin to max_iter
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"row {int(bad[0])} holds a non-finite value")
     if kernel is None:
         kernel = default_kernel(d)
     if max_iter is None:

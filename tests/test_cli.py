@@ -227,6 +227,19 @@ class TestCommands:
         assert code == 3
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("flags", [[], ["--no-filter"]], ids=["filter", "no-filter"])
+    def test_range_past_float64_is_data_error(self, tmp_path, capsys, flags):
+        # 1e308 - -1e308 overflows: rejected when the scaling is fitted, with
+        # no overflow warning, which the suite would raise as an error
+        wide = tmp_path / "wide.svm"
+        wide.write_text("a 1:1e308\nb 1:-1e308\na 1:0\n")
+        out = str(tmp_path / "o")
+        code = main(["train", "--train", str(wide), "--out", out, "--partitions", "1"] + flags)
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: feature 1 spans [-1e+308, 1e+308], a range wider than float64 holds\n")
+        assert not os.path.exists(out)
+
     def test_degenerate_ensemble_exit_code(self, tmp_path, capsys):
         xor = tmp_path / "xor.svm"
         xor.write_text("a 1:0 2:0\na 1:1 2:1\nb 1:0 2:1\nb 1:1 2:0\n")

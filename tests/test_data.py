@@ -321,6 +321,21 @@ class TestScaling:
         assert np.allclose(spec2.mins, 0) and np.allclose(spec2.maxs, 1)
         assert rescaled.equals(scaled)
 
+    def test_range_past_float64_rejected(self):
+        # max - min overflows to inf; the suite turns an overflow warning into an error
+        with pytest.raises(ValueError, match=r"^feature 2 spans \[-1e\+308, 1e\+308\]"):
+            ScalingSpec(np.array([0.0, -1e308]), np.array([1.0, 1e308]))
+        ds = Dataset.from_arrays([[1e308], [-1e308], [0.0]], [0, 1, 0])
+        with pytest.raises(ValueError, match="^feature 1 spans"):
+            min_max_scale(ds)
+
+    def test_far_values_clamp_without_overflow(self):
+        # x - min overflows past a span of 1e308, and x / span past a subnormal one
+        spec = ScalingSpec(np.array([-1e308, 0.0]), np.array([0.0, 5e-324]))
+        X = [[1e308, 1.0], [-1e308, -1.0], [-5e307, 0.0]]
+        out = apply_scale(spec, Dataset.from_arrays(X, [0, 0, 0])).features
+        assert np.array_equal(out, [[1.0, 1.0], [0.0, 0.0], [0.5, 0.0]])
+
     def test_dimension_mismatch(self):
         spec = ScalingSpec(np.zeros(3), np.ones(3))
         with pytest.raises(ValueError, match="columns"):

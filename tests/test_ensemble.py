@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -447,6 +448,100 @@ class TestStumpColumnVote:
         assert np.array_equal(ensemble_predict_batch(E, X), np.argmax(expected, axis=1))
 
 
+class TestModelRanks:
+    """The model's vote ranks each row once per feature against every tree
+    ensemble's thresholds; each ensemble maps that rank to its own count."""
+
+    def model(self, rng, K, count=8, d=3):
+        """Tree ensembles on grid thresholds, so thresholds repeat within and
+        across ensembles; every other ensemble's 0.0 thresholds become -0.0."""
+        ensembles = [tree_ensemble(rng, 6, 16, d, K, pid=i) for i in range(count)]
+        for i, E in enumerate(ensembles):
+            E.beta = (0.25, 0.5)[i % 2]
+            if i % 2:
+                for _, h in E.members:
+                    h.threshold[h.threshold == 0.0] = -0.0
+        return GlobalModel(ensembles, [str(k) for k in range(K)], None, {}, d)
+
+    def assert_oracle(self, G, X):
+        assert has_tie(vote_oracle.global_scores(G, X))
+        assert np.array_equal(global_predict_batch(G, X), vote_oracle.global_predict_batch(G, X))
+
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_shared_thresholds_equal_oracle(self, K, monkeypatch):
+        # small blocks, so the rows span several and end in a partial one
+        monkeypatch.setattr(ensemble, "_ROUTE_BYTES", 1 << 12)
+        rng = np.random.default_rng(130 + K)
+        G = self.model(rng, K)
+        zeros = np.concatenate([h.threshold[h.threshold == 0.0]
+                                for E in G.ensembles for _, h in E.members])
+        assert set(np.signbit(zeros).tolist()) == {False, True}
+        X = awkward_rows(rng, 500, 4)  # feature 3: no tree splits on it
+        ranks = ensemble._tree_ranks(G.ensembles, X)
+        assert sorted(ranks) == [0, 1, 2]
+        for f, (U, rank) in ranks.items():
+            assert U.tolist() == sorted(set(U.tolist())) and (U == 0.0).sum() == 1
+            assert np.array_equal(rank, np.searchsorted(U, X[:, f]))
+        self.assert_oracle(G, X)
+        self.assert_oracle(G, np.asfortranarray(X))
+        assert global_predict_batch(G, np.empty((0, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("distinct, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_ranks_take_the_narrowest_dtype(self, distinct, dtype):
+        rng = np.random.default_rng(140)
+        E = PartitionEnsemble([(0.3, random_tree(rng, 64, 1, 3)) for _ in range(5)], 0.5, 0, K=3)
+        thresholds = iter(np.linspace(-1.0, 1.0, distinct))
+        for _, h in E.members:  # every split on feature 0; 315 splits, so some repeat -1.0
+            for node in h.split_nodes().tolist():
+                h.threshold[node] = next(thresholds, -1.0)
+        X = awkward_rows(rng, 400, 1)
+        ((U, rank),) = ensemble._tree_ranks([E], X).values()
+        assert U.size == distinct and rank.dtype == dtype
+        assert rank.max() == distinct  # +inf and NaN rank past every threshold
+        assert np.array_equal(ensemble_scores(E, X), vote_oracle.ensemble_scores(E, X))
+
+    @pytest.mark.parametrize("K", [2, 5])
+    def test_mixed_model_equals_oracle(self, K):
+        rng = np.random.default_rng(150 + K)
+        stumps = [(float(rng.choice((0.1, 0.3, 0.7))),
+                   DecisionStump(int(rng.integers(3)), float(rng.choice(GRID)),
+                                 int(rng.integers(K)), int(rng.integers(K))))
+                  for _ in range(12)]
+        mixed = tree_ensemble(rng, 5, 16, 3, K)
+        mixed.members.insert(2, stumps[0])
+        ensembles = [
+            tree_ensemble(rng, 8, 16, 3, K),
+            PartitionEnsemble(stumps, 0.5, 0, K=K),
+            PartitionEnsemble(knn_members(rng, 4, K, (0.1, 0.3, 0.7)), 0.5, 0, K=K),
+            tree_ensemble(rng, 4, 65, 3, K),
+            mixed,
+            tree_ensemble(rng, 6, 8, 3, K),
+        ]
+        for i, E in enumerate(ensembles):
+            E.beta, E.partition_id = (0.5, 0.25, 0.25)[i % 3], i  # a sum of 2.0: ties at K=2
+        G = GlobalModel(ensembles, [str(k) for k in range(K)], None, {}, 3)
+        X = awkward_rows(rng, 400, 3)
+        X[~np.isfinite(X)] = 0.25  # the k-NN distances take finite rows, as the pipeline's are
+        self.assert_oracle(G, X)
+
+    def test_one_ensembles_tables_alive_at_a_time(self, monkeypatch):
+        compile_trees, alive, calls = ensemble._compile_trees, [], []
+
+        def tracked_compile(E):
+            assert [ref() for ref in alive] == [None] * len(alive)
+            compiled = compile_trees(E)
+            tables, classes, _ = compiled
+            alive.extend(weakref.ref(a) for a in [classes, *(tab for _, _, tab in tables)])
+            calls.append(E)
+            return compiled
+
+        monkeypatch.setattr(ensemble, "_compile_trees", tracked_compile)
+        rng = np.random.default_rng(160)
+        G = self.model(rng, 3)
+        self.assert_oracle(G, awkward_rows(rng, 300, 3))
+        assert calls == G.ensembles
+
+
 class TestComputeBeta:
     def test_perfect(self):
         E = PartitionEnsemble([(1.0, constant(1))], 0.0, 0, K=2)
@@ -623,6 +718,13 @@ class TestModelSerialization:
             e["members"][0]["alpha"] = value
         else:
             e[field] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model_from_dict(doc)
+
+    def test_scaling_range_past_float64_rejected(self):
+        doc = model_to_dict(self.build())
+        doc["scaling"] = {"mins": [0.0, -1e308, 0.0], "maxs": [1.0, 1e308, 1.0]}
+        message = "model: feature 2 spans [-1e+308, 1e+308]"
         with pytest.raises(ValueError, match=re.escape(message)):
             model_from_dict(doc)
 

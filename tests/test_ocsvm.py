@@ -96,6 +96,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="max_iter"):
             train_ocsvm(X, max_iter=-5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected_before_the_solver(self, bad):
+        X = np.zeros((5, 2))
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="^row 3 holds a non-finite value$"):
+            train_ocsvm(X, max_iter=1000)
+
     def test_objective_matches_reference_solver(self):
         rng = np.random.default_rng(17)
         for trial in range(6):
