@@ -122,12 +122,6 @@ class ScalingSpec:
                              "float64 holds")
 
 
-def _iter_lines(text):
-    if isinstance(text, str):
-        return io.StringIO(text)
-    return text
-
-
 # the fast path converts text in line-aligned blocks of about this many
 # characters, so its temporaries stay a few MB whatever the file's size
 _PARSE_BLOCK_CHARS = 1 << 18
@@ -139,7 +133,7 @@ _PAIR_BYTES = np.zeros(256, dtype=bool)
 _PAIR_BYTES[np.frombuffer(b"0123456789.eE+-: \t\n", dtype=np.uint8)] = True
 
 
-def parse_libsvm(text) -> Dataset:
+def parse_libsvm(text: str) -> Dataset:
     """Parse sparse `<label> <idx>:<val> ...` lines into a Dataset.
 
     Feature indices are 1-based and must be strictly increasing per line;
@@ -148,12 +142,11 @@ def parse_libsvm(text) -> Dataset:
     n x d float64 matrix would exceed physical memory is rejected before
     anything is allocated.
 
-    A ``str`` is first read by a vectorised path that accepts plain decimal
+    The text is first read by a vectorised path that accepts plain decimal
     text (``_scan_blocks``); on anything it does not accept, the line loop
     reads the whole text again and reports the first fault with its line.
     """
-    scanned = _scan_blocks(text) if isinstance(text, str) else None
-    return _assemble(*(scanned or _scan_lines(text)))
+    return _assemble(*(_scan_blocks(text) or _scan_lines(text)))
 
 
 def _scan_lines(text):
@@ -169,7 +162,7 @@ def _scan_lines(text):
     isfinite = math.isfinite
     d = 0
     d_line = None
-    for lineno, raw in enumerate(_iter_lines(text), start=1):
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
         parts = raw.split()
         if not parts:
             continue
@@ -356,7 +349,7 @@ def dump_libsvm(data: Dataset) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_csv(text, label_column: int) -> Dataset:
+def parse_csv(text: str, label_column: int) -> Dataset:
     """Parse a rectangular numeric CSV whose label column may be any token.
 
     ``label_column`` is 0-based; negative values index from the right
@@ -369,7 +362,7 @@ def parse_csv(text, label_column: int) -> Dataset:
     rows: list[list[float]] = []
     width = None
     col = label_column
-    for lineno, record in enumerate(_csv.reader(_iter_lines(text)), start=1):
+    for lineno, record in enumerate(_csv.reader(io.StringIO(text)), start=1):
         if not record:
             continue
         if width is None:

@@ -127,10 +127,9 @@ class DecisionStump:
 # kernels by shape, so cutting a product into row blocks can change its last
 # bit.
 _BLOCK_ELEMENTS = 1 << 20
-# Tree routing and the vote's tree tables take rows in blocks whose buffers
-# hold about this many bytes, reused across blocks: a few hundred KB per
-# call, where (node, row) blocks of _BLOCK_ELEMENTS churned MBs per tree,
-# which malloc may return to the system and fault back in between calls.
+# RandomTree.predict and the vote's tree ranking take _ROUTE_BYTES // 8 rows
+# at a time, and the vote's tree tables size their blocks by it too: each
+# temporary holds about this many bytes, however many rows a call is given.
 _ROUTE_BYTES = 1 << 18
 
 
@@ -330,63 +329,26 @@ class RandomTree:
         return np.flatnonzero(np.isfinite(self.threshold))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Route rows a block at a time: compare the block once per internal
-        node, then take ``depth()`` steps from the root.
+        """Route rows level by level: each of ``depth()`` steps moves a row at
+        node i to ``children[2i]`` if its value at ``feature[i]`` is ``<=``
+        ``threshold[i]``, else to ``children[2i + 1]``. A NaN goes right and a
+        row at a leaf stays there. Rows go in blocks of ``_ROUTE_BYTES // 8``,
+        so the temporaries do not grow with the input.
 
-        Boosting calls this once per round on the training rows. The vote
-        calls it only for a tree of more than 64 leaves or one in a mixed
-        ensemble; it scores other all-tree ensembles from threshold tables.
-
-        A row's state is u = 2 * node + 1, so with le = 1 when it goes left
-        its next node is ``children[u - le]``. The internal nodes are sorted
-        by feature, so each feature is one broadcast compare into a (compare
-        row, block row) matrix; a leaf reads compare row 0, as both its
-        children are itself. The matrix and row buffers are allocated once
-        per call and written through ``out=``. Every index is in range by
-        construction, so ``take`` runs in "clip" mode, which does no bounds
-        check and buffers no copy.
+        Boosting calls this on its training rows; the vote only for a tree of
+        more than 64 leaves or one in a mixed ensemble.
         """
         X = np.atleast_2d(X)
-        n = X.shape[0]
-        internal = self.split_nodes()
-        internal = internal[self.feature[internal].argsort(kind="stable")]
-        features = self.feature[internal].tolist()
-        thresholds = self.threshold[internal, None]
-        groups = []  # (first compare row, end, feature, thresholds)
-        for f, run in itertools.groupby(features):
-            a = groups[-1][1] if groups else 0
-            b = a + len(list(run))
-            groups.append((a, b, f, thresholds[a:b]))
-        # per block row: one byte per compare, a uint8 and two intp buffers
-        m = max(1, min(n, _ROUTE_BYTES // (max(1, internal.size) + 17)))
-        compare_row = np.zeros(self.value.size, dtype=np.intp)
-        compare_row[internal] = np.arange(0, internal.size * m, m)
-        row_start = compare_row.repeat(2)  # indexed by u
-        next_u = 2 * self.children + 1
-        value = self.value.repeat(2)
-        le = np.zeros((max(1, internal.size), m), dtype=bool)
-        le_bytes = le.view(np.uint8).ravel()
-        rows = np.arange(m)
-        u_buf = np.empty(m, dtype=np.intp)
-        flat_buf = np.empty(m, dtype=np.intp)
-        bit_buf = np.empty(m, dtype=np.uint8)
+        n, m = X.shape[0], _ROUTE_BYTES // 8
         out = np.empty(n, dtype=np.int64)
         for lo in range(0, n, m):
             B = X[lo:lo + m]
-            k = B.shape[0]
-            # a NaN fails <= at any node and goes right
-            for a, b, f, t in groups:
-                np.less_equal(B[:, f], t, out=le[a:b, :k])
-            u, flat, bit = u_buf[:k], flat_buf[:k], bit_buf[:k]
-            u.fill(1)
+            rows = np.arange(B.shape[0])
+            node = np.zeros(B.shape[0], dtype=np.intp)
             for _ in range(self._depth):
-                row_start.take(u, out=flat, mode="clip")
-                flat += rows[:k]
-                le_bytes.take(flat, out=bit, mode="clip")
-                u -= bit
-                next_u.take(u, out=flat, mode="clip")
-                u, flat = flat, u
-            value.take(u, out=out[lo:lo + k], mode="clip")
+                node = self.children[2 * node + ~(B[rows, self.feature[node]]
+                                                   <= self.threshold[node])]
+            out[lo:lo + m] = self.value[node]
         return out
 
     def depth(self) -> int:

@@ -78,12 +78,6 @@ class TestParseLibsvm:
         ds = parse_libsvm("1 2:1\n2 1:3")
         assert type(ds.features) is np.ndarray and ds.features.dtype == np.float64
 
-    def test_file_like_stream(self, tmp_path):
-        p = tmp_path / "d.svm"
-        p.write_text("1 1:1\n2 2:1\n")
-        with open(p) as fh:
-            assert parse_libsvm(fh).n == 2
-
 
 def line_loop(text):
     """The line loop alone, as parse_libsvm falls back to it."""
