@@ -87,14 +87,15 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Partition:
-    """A slice of a parent Dataset: unique row indices plus an ordinal id."""
+    """A slice of a parent Dataset: strictly increasing row indices, so that the
+    filter's scan and split break score ties alike, plus an ordinal id."""
 
     indices: np.ndarray
     partition_id: int
 
     def __post_init__(self):
-        if len(np.unique(self.indices)) != len(self.indices):
-            raise ValueError("partition indices must be unique")
+        if (np.diff(self.indices) <= 0).any():
+            raise ValueError("partition indices must be strictly increasing")
 
     @property
     def size(self) -> int:

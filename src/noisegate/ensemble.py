@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import ScalingSpec
 from .learners import (
+    _HYPOTHESIS_KINDS,
     _ROUTE_BYTES,
     DecisionStump,
     KnnHypothesis,
@@ -25,19 +26,18 @@ from .learners import (
     _integer,
     _json_array,
     _number,
-    hypothesis_from_dict,
     train_random_tree,
     train_stump,
     uniform_weights,
 )
 
 MODEL_FORMAT = "noisegate-model"
-# 3: a tree member is its pre-order split mask and the split nodes' and
-# leaves' arrays; a k-NN ensemble stores its reference set once ("knn"), and
-# each member only its weights. Older versions are not read.
-MODEL_VERSION = 3
+# 4: an ensemble names its one learner kind, and a member is its alpha and the
+# arrays its predict reads: a tree's pre-order split mask and split and leaf
+# arrays, a k-NN member's weights over the ensemble's "knn". Older: not read.
+MODEL_VERSION = 4
 
-LEARNER_KINDS = ("stump", "tree", "knn")
+LEARNER_KINDS = tuple(_HYPOTHESIS_KINDS)
 
 _ALPHA_CAP = math.log(1e10)
 # An all-tree ensemble's threshold tables hold (thresholds + features) x trees
@@ -163,20 +163,17 @@ def adaboost_train(
         # the 1e-12 band keeps float noise from sneaking chance-level rounds in
         if eps >= 1.0 - 1.0 / K - 1e-12:
             continue
-        if eps <= _EPS_FLOOR:
-            alpha = _ALPHA_CAP
-            members.append((alpha, h))
-            if trace is not None:
-                trace.errors.append(eps)
-                trace.alphas.append(alpha)
-            break
-        alpha = min(math.log((1.0 - eps) / eps) + math.log(K - 1), _ALPHA_CAP)
+        alpha = _ALPHA_CAP if eps <= _EPS_FLOOR else min(
+            math.log((1.0 - eps) / eps) + math.log(K - 1), _ALPHA_CAP)
         members.append((alpha, h))
-        w = w * np.exp(alpha * mistakes)
-        w /= w.sum()
         if trace is not None:
             trace.errors.append(eps)
             trace.alphas.append(alpha)
+        if eps <= _EPS_FLOOR:
+            break
+        w = w * np.exp(alpha * mistakes)
+        w /= w.sum()
+        if trace is not None:
             trace.weights.append(w.copy())
     if not members:
         raise DegenerateEnsembleError(
@@ -439,7 +436,11 @@ def _model_head(G: GlobalModel) -> dict:
 
 
 def _ensemble_to_dict(E: PartitionEnsemble) -> dict:
-    doc = {"partition_id": E.partition_id, "beta": E.beta}
+    kinds = sorted({h.kind for _, h in E.members})
+    if len(kinds) > 1:
+        raise ValueError(f"partition {E.partition_id}: members of kinds {kinds} cannot be "
+                         "saved: an ensemble stores one learner kind")
+    doc = {"partition_id": E.partition_id, "beta": E.beta, "kind": kinds[0]}
     # the members' one reference set, which the ensemble stores for them
     refs = [h.reference for _, h in E.members if isinstance(h, KnnHypothesis)]
     if any(r is not refs[0] and not r.equals(refs[0]) for r in refs[1:]):
@@ -447,7 +448,7 @@ def _ensemble_to_dict(E: PartitionEnsemble) -> dict:
                          "k-NN members disagree on their reference set")
     if refs:
         doc["knn"] = refs[0].to_dict()
-    doc["members"] = [{"alpha": alpha, "hypothesis": h.to_dict()} for alpha, h in E.members]
+    doc["members"] = [{"alpha": alpha, **h.to_dict()} for alpha, h in E.members]
     return doc
 
 
@@ -485,7 +486,10 @@ def model_from_dict(doc: dict) -> GlobalModel:
         with _located(where):
             pid = _integer("partition_id", e["partition_id"])
             beta = _number("beta", e["beta"])
-            knn = KnnReference.from_dict(e["knn"]) if "knn" in e else None
+            cls = _HYPOTHESIS_KINDS.get(e["kind"]) if isinstance(e["kind"], str) else None
+            if cls is None:
+                raise ValueError(f"unknown learner kind {e['kind']!r}")
+            knn = KnnReference.from_dict(e["knn"]) if cls is KnnHypothesis else None
             member_docs = e["members"]
             if not isinstance(member_docs, list):
                 raise TypeError(f"members must be a JSON array, got {type(member_docs).__name__}")
@@ -493,7 +497,7 @@ def model_from_dict(doc: dict) -> GlobalModel:
         for j, m in enumerate(member_docs):
             with _located(f"partition {pid}, member {j}"):
                 alpha = _number("alpha", m["alpha"])
-                h = hypothesis_from_dict(m["hypothesis"], knn)
+                h = cls.from_dict(m) if knn is None else cls.from_dict(m, knn)
                 h.check(n_features, len(label_names))
             members.append((alpha, h))
         with _located(f"partition {pid}"):

@@ -102,13 +102,8 @@ class DecisionStump:
         _check_range("stump class", [self.left, self.right], K)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left,
-            "right": self.right,
-        }
+        return {"feature": self.feature, "threshold": self.threshold,
+                "left": self.left, "right": self.right}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecisionStump":
@@ -287,9 +282,9 @@ class RandomTree:
     its threshold is +inf, so a row that has reached a leaf stays there.
     """
 
-    kind = "random_tree"
+    kind = "tree"
 
-    def __init__(self, split, feature, threshold, leaf, max_depth: int):
+    def __init__(self, split, feature, threshold, leaf):
         """One pass over ``split`` derives the children and the depth: each node
         fills the last open child slot, and a split node opens its right, then its
         left slot. A mask that leaves a node no slot, or slots open at its end, is
@@ -322,7 +317,6 @@ class RandomTree:
         self.value = np.full(n, -1, dtype=np.int64)
         self.feature[split], self.threshold[split], self.value[~split] = feature, threshold, leaf
         self.children = np.array(children[:-1], dtype=np.intp)
-        self.max_depth = max_depth
 
     def split_nodes(self) -> np.ndarray:
         """The internal nodes, in pre-order: those with a finite threshold."""
@@ -362,20 +356,18 @@ class RandomTree:
 
     def to_dict(self) -> dict:
         split = np.isfinite(self.threshold)
-        return {"kind": self.kind, "max_depth": self.max_depth,
-                "split": split.view(np.uint8).tolist(), "feature": self.feature[split].tolist(),
+        return {"split": split.view(np.uint8).tolist(), "feature": self.feature[split].tolist(),
                 "threshold": self.threshold[split].tolist(), "leaf": self.value[~split].tolist()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RandomTree":
-        max_depth = _integer("tree max_depth", doc["max_depth"])
         split = _json_array("tree split flag", doc["split"], np.int64)
         _check_range("tree split flag", split, 2)
         threshold = _json_array("tree threshold", doc["threshold"], np.float64)
         if not np.isfinite(threshold).all():
             raise ValueError("tree threshold must be finite")
         return cls(split, _json_array("tree feature", doc["feature"], np.intp), threshold,
-                   _json_array("tree leaf class", doc["leaf"], np.int64), max_depth)
+                   _json_array("tree leaf class", doc["leaf"], np.int64))
 
 
 def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = None,
@@ -433,7 +425,7 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
         build(idx[~mask], depth + 1)
 
     build(np.arange(n), 0)
-    return RandomTree(split, feature, threshold, leaf, max_depth)
+    return RandomTree(split, feature, threshold, leaf)
 
 
 def _top_k(d2: np.ndarray, k: int) -> np.ndarray:
@@ -560,7 +552,11 @@ class KnnHypothesis:
 
     def to_dict(self) -> dict:
         """The member's own state; its ensemble stores the reference set once."""
-        return {"kind": self.kind, "weights": self.weights.tolist()}
+        return {"weights": self.weights.tolist()}
+
+    @classmethod
+    def from_dict(cls, doc: dict, reference: KnnReference) -> "KnnHypothesis":
+        return cls(reference, _json_array("k-NN weight", doc["weights"], np.float64))
 
 
 def weighted_error(hypothesis, X, y, w) -> float:
@@ -570,21 +566,9 @@ def weighted_error(hypothesis, X, y, w) -> float:
     return float(w[hypothesis.predict(X) != y].sum())
 
 
+# each learner by its one name in --learner, LearnerConfig and a model file
 _HYPOTHESIS_KINDS = {
     DecisionStump.kind: DecisionStump,
     RandomTree.kind: RandomTree,
     KnnHypothesis.kind: KnnHypothesis,
 }
-
-
-def hypothesis_from_dict(doc: dict, knn: KnnReference | None = None):
-    """Rebuild a member; ``knn`` is its ensemble's k-NN reference set, if any."""
-    try:
-        cls = _HYPOTHESIS_KINDS[doc["kind"]]
-    except KeyError:
-        raise ValueError(f"unknown hypothesis kind {doc.get('kind')!r}") from None
-    if cls is not KnnHypothesis:
-        return cls.from_dict(doc)
-    if knn is None:
-        raise ValueError('k-NN member without a reference set: its ensemble has no "knn"')
-    return KnnHypothesis(knn, _json_array("k-NN weight", doc["weights"], np.float64))

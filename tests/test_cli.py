@@ -289,10 +289,10 @@ def trained_models(tmp_path_factory):
 
 
 def _first_split(doc):
-    """(member index, hypothesis) of the first ensemble's first tree whose root splits."""
+    """(member index, member) of the first ensemble's first tree whose root splits."""
     for j, m in enumerate(doc["ensembles"][0]["members"]):
-        if m["hypothesis"]["split"][0] == 1:
-            return j, m["hypothesis"]
+        if m["split"][0] == 1:
+            return j, m
     raise AssertionError("no tree member splits")
 
 
@@ -352,28 +352,23 @@ def _tree_string_leaf(doc):
     return j
 
 
-def _tree_string_max_depth(doc):
-    doc["ensembles"][0]["members"][0]["hypothesis"]["max_depth"] = "4"
-    return 0
-
-
 def _stump_class_k(doc):
-    doc["ensembles"][0]["members"][0]["hypothesis"]["right"] = len(doc["label_names"])
+    doc["ensembles"][0]["members"][0]["right"] = len(doc["label_names"])
     return 0
 
 
 def _stump_feature(doc):
-    doc["ensembles"][0]["members"][0]["hypothesis"]["feature"] = doc["n_features"]
+    doc["ensembles"][0]["members"][0]["feature"] = doc["n_features"]
     return 0
 
 
 def _stump_bool_feature(doc):
-    doc["ensembles"][0]["members"][0]["hypothesis"]["feature"] = True
+    doc["ensembles"][0]["members"][0]["feature"] = True
     return 0
 
 
 def _stump_bool_threshold(doc):
-    doc["ensembles"][0]["members"][0]["hypothesis"]["threshold"] = True
+    doc["ensembles"][0]["members"][0]["threshold"] = True
     return 0
 
 
@@ -389,23 +384,18 @@ def _bool_alpha(doc):
 
 
 def _knn_nan_weight(doc):
-    doc["ensembles"][0]["members"][0]["hypothesis"]["weights"][0] = float("nan")
+    doc["ensembles"][0]["members"][0]["weights"][0] = float("nan")
     return 0
 
 
 def _knn_string_weights(doc):
-    weights = doc["ensembles"][0]["members"][-1]["hypothesis"]["weights"]
+    weights = doc["ensembles"][0]["members"][-1]["weights"]
     weights[:] = ["0.5"] * len(weights)
     return len(doc["ensembles"][0]["members"]) - 1
 
 
 def _knn_bool_weight(doc):
-    doc["ensembles"][0]["members"][0]["hypothesis"]["weights"][0] = True
-    return 0
-
-
-def _knn_no_reference(doc):
-    del doc["ensembles"][0]["knn"]
+    doc["ensembles"][0]["members"][0]["weights"][0] = True
     return 0
 
 
@@ -420,7 +410,24 @@ def _knn_width(doc):
     return 0
 
 
-# the reference set belongs to the ensemble, so these faults name no member
+# the reference set and the learner kind belong to the ensemble, so these
+# faults name no member
+def _knn_no_reference(doc):
+    del doc["ensembles"][0]["knn"]
+
+
+def _unknown_kind(doc):
+    doc["ensembles"][0]["kind"] = "perceptron"
+
+
+def _int_kind(doc):
+    doc["ensembles"][0]["kind"] = 1
+
+
+def _list_kind(doc):
+    doc["ensembles"][0]["kind"] = ["tree"]
+
+
 def _knn_float_label(doc):
     doc["ensembles"][0]["knn"]["labels"][0] = 0.7
 
@@ -465,7 +472,6 @@ class TestCorruptMembers:
         ("tree", _tree_missing_right,
          "tree split mask leaves 1 child slots empty: it is not a pre-order full binary tree"),
         ("tree", _tree_string_leaf, "tree leaf class must be an integer, got '1'"),
-        ("tree", _tree_string_max_depth, "tree max_depth must be an integer, got '4'"),
         ("stump", _stump_class_k, "stump class 2 is not in [0, 2)"),
         ("stump", _stump_feature, "stump feature 2 is not in [0, 2)"),
         ("stump", _stump_bool_feature, "stump feature must be an integer, got True"),
@@ -492,16 +498,19 @@ class TestCorruptMembers:
         ("tree", _tree_float_feature, "tree feature must be an integer, got 1.0"),
         ("knn", _knn_string_weights, "k-NN weight must be a number, got '0.5'"),
         ("knn", _knn_bool_weight, "k-NN weight must be a number, got True"),
-        ("knn", _knn_no_reference,
-         'k-NN member without a reference set: its ensemble has no "knn"'),
+        ("knn", _knn_no_reference, "missing key 'knn'"),
+        ("tree", _unknown_kind, "unknown learner kind 'perceptron'"),
+        ("stump", _int_kind, "unknown learner kind 1"),
+        ("knn", _list_kind, "unknown learner kind ['tree']"),
     ], ids=["tree-leaf", "tree-feature", "tree-nan-threshold", "tree-missing-right",
-            "tree-string-leaf", "tree-string-max-depth", "stump-class", "stump-feature",
+            "tree-string-leaf", "stump-class", "stump-feature",
             "stump-bool-feature", "knn-label", "knn-width", "knn-float-label",
             "knn-string-label", "knn-string-k", "stump-bool-threshold",
             "tree-string-threshold", "bool-alpha", "string-beta", "knn-nan-weight",
             "knn-nan-ref", "knn-string-ref", "no-members", "int-members", "infinite-alpha",
             "tree-extra-leaf", "tree-short-feature", "tree-bool-split", "tree-float-feature",
-            "knn-string-weights", "knn-bool-weight", "knn-no-reference"])
+            "knn-string-weights", "knn-bool-weight", "knn-no-reference", "unknown-kind",
+            "int-kind", "list-kind"])
     def test_evaluate_rejects_member(self, trained_models, tmp_path, capsys, kind, corrupt,
                                      message):
         doc, test = trained_models[kind]
@@ -527,6 +536,7 @@ class TestCorruptModel:
         ("tree", ["ensembles", 0, "partition_id"], "ensemble 0"),
         ("tree", ["ensembles", 0, "beta"], "partition {pid}"),
         ("tree", ["ensembles", 0, "members"], "partition {pid}"),
+        ("stump", ["ensembles", 0, "kind"], "partition {pid}"),
         ("knn", ["ensembles", 0, "knn", "refs"], "partition {pid}"),
     ], ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)))
     def test_evaluate_rejects_missing_key(self, trained_models, tmp_path, capsys, kind, path,
@@ -579,12 +589,13 @@ class TestCorruptModel:
         (["provenance"], [1, 2], "model: provenance must be a JSON object, got list"),
         (["provenance"], "ab", "model: provenance must be a JSON object, got str"),
         (["scaling", "mins"], {"0": 0.0}, "model: scaling mins values must be a JSON array"),
-        (["version"], 1, "model version 1 is no longer read: retrain the model to write version 3"),
-        (["version"], 2, "model version 2 is no longer read: retrain the model to write version 3"),
+        (["version"], 1, "model version 1 is no longer read: retrain the model to write version 4"),
+        (["version"], 2, "model version 2 is no longer read: retrain the model to write version 4"),
+        (["version"], 3, "model version 3 is no longer read: retrain the model to write version 4"),
     ], ids=["nan-min", "inf-max", "string-min", "min-above-max", "short-mins", "short-maxs",
             "float-n-features", "string-partition-id", "int-label-names",
             "repeated-label-names", "string-label-names", "one-label-name", "int-provenance",
-            "list-provenance", "string-provenance", "object-mins", "version-1", "version-2"])
+            "list-provenance", "string-provenance", "object-mins", "version-1", "version-2", "version-3"])
     def test_evaluate_rejects_bad_field(self, trained_models, tmp_path, capsys, path, value,
                                         message):
         doc, test = trained_models["tree"]
@@ -609,7 +620,7 @@ class TestCorruptModel:
             tree["feature"][0] = 2 ** 70
         else:
             j = 0
-            doc["ensembles"][0]["members"][0]["hypothesis"]["threshold"] = 10 ** 400
+            doc["ensembles"][0]["members"][0]["threshold"] = 10 ** 400
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
         assert main(["evaluate", "--model", str(model), "--test", test]) == 3

@@ -5,6 +5,7 @@ from noisegate import data
 from noisegate.data import (
     Dataset,
     ParseError,
+    Partition,
     ScalingSpec,
     apply_scale,
     dataset_stats,
@@ -337,6 +338,11 @@ class TestScaling:
 
 
 class TestPartition:
+    @pytest.mark.parametrize("indices", [[2, 1, 3], [0, 1, 1, 2]], ids=["unsorted", "duplicated"])
+    def test_indices_must_be_strictly_increasing(self, indices):
+        with pytest.raises(ValueError, match="partition indices must be strictly increasing"):
+            Partition(np.array(indices), 0)
+
     def test_two_halves(self):
         ds = Dataset.from_arrays(np.zeros((10, 1)), np.zeros(10, dtype=int))
         parts = partition(ds, 2, seed=5)

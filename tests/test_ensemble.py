@@ -9,6 +9,7 @@ import pytest
 from noisegate import ensemble
 from noisegate.data import ScalingSpec
 from noisegate.ensemble import (
+    LEARNER_KINDS,
     MODEL_VERSION,
     DegenerateEnsembleError,
     GlobalModel,
@@ -315,7 +316,7 @@ def random_tree(rng, leaves, d, K) -> RandomTree:
         return {"feature": int(rng.integers(d)), "threshold": float(rng.choice(GRID)),
                 "left": node(left), "right": node(count - left)}
 
-    return RandomTree.from_dict(tree_oracle.document(node(leaves), 4))
+    return RandomTree.from_dict(tree_oracle.document(node(leaves)))
 
 
 def awkward_rows(rng, n, d) -> np.ndarray:
@@ -374,7 +375,7 @@ class TestTreeTables:
     def test_special_values_route_like_the_oracle(self):
         # one split on 0.0: -0.0 and -inf go left; NaN and +inf go right
         tree = RandomTree.from_dict(tree_oracle.document(
-            {"feature": 0, "threshold": 0.0, "left": {"leaf": 0}, "right": {"leaf": 1}}, 1))
+            {"feature": 0, "threshold": 0.0, "left": {"leaf": 0}, "right": {"leaf": 1}}))
         E = PartitionEnsemble([(1.0, tree)], 0.5, 0, K=2)
         X = np.array([[-0.0], [0.0], [-np.inf], [np.nan], [np.inf], [5e-324]])
         assert ensemble_predict_batch(E, X).tolist() == [0, 0, 0, 1, 1, 1]
@@ -744,18 +745,48 @@ class TestModelSerialization:
     def test_knn_reference_stored_once_per_ensemble(self):
         doc = model_to_dict(self.build_knn())
         for e in doc["ensembles"]:
-            assert set(e["knn"]) == {"refs", "labels", "k"}
-            assert all(m["hypothesis"] == {"kind": "knn", "weights": m["hypothesis"]["weights"]}
-                       for m in e["members"])
+            assert e["kind"] == "knn" and set(e["knn"]) == {"refs", "labels", "k"}
+            assert all(list(m) == ["alpha", "weights"] for m in e["members"])
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("kind", ["stump", "tree", "knn"])
+    def test_ensemble_names_its_kind_once(self, kind):
+        doc = model_to_dict(self.build_kind(kind))
+        keys = {"stump": ["feature", "threshold", "left", "right"],
+                "tree": ["split", "feature", "threshold", "leaf"], "knn": ["weights"]}[kind]
+        for e in doc["ensembles"]:
+            assert list(e) == ["partition_id", "beta", "kind"] + ["knn"] * (kind == "knn") + [
+                "members"]
+            assert e["kind"] == kind
+            assert all(list(m) == ["alpha"] + keys for m in e["members"])
+
+    def test_unknown_kind(self):
+        doc = model_to_dict(self.build())
+        doc["ensembles"][1]["kind"] = "random_tree"
+        with pytest.raises(ValueError) as err:
+            model_from_dict(doc)
+        assert str(err.value) == "partition 1: unknown learner kind 'random_tree'"
+
+    def test_kinds_are_the_learner_kinds(self):
+        assert LEARNER_KINDS == ("stump", "tree", "knn")
+        assert [DecisionStump.kind, RandomTree.kind, KnnHypothesis.kind] == list(LEARNER_KINDS)
+
+    def test_mixed_kind_ensemble_not_saved(self, tmp_path):
+        G = self.build()
+        alpha, _ = G.ensembles[1].members[-1]
+        G.ensembles[1].members[-1] = (alpha, DecisionStump(0, 0.5, 0, 1))
+        message = ("partition 1: members of kinds ['stump', 'tree'] cannot be saved: "
+                   "an ensemble stores one learner kind")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_model(G, tmp_path / "model.json")
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_version_rejected(self, version):
         doc = model_to_dict(self.build_knn())
         doc["version"] = version
         with pytest.raises(ValueError) as err:
             model_from_dict(doc)
         assert str(err.value) == (f"model version {version} is no longer read: "
-                                  "retrain the model to write version 3")
+                                  "retrain the model to write version 4")
 
     @pytest.mark.parametrize("version", ["3", 3.0, True, None])
     def test_non_integer_version_rejected(self, version):

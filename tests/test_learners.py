@@ -15,7 +15,6 @@ from noisegate.learners import (
     StumpIndex,
     _misclassified,
     _top_k,
-    hypothesis_from_dict,
     train_random_tree,
     train_stump,
     uniform_weights,
@@ -282,8 +281,7 @@ class TestRandomTree:
     def test_pure_node_is_leaf(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
         tree = train_random_tree(X, np.full(10, 3), uniform_weights(10), max_depth=4, seed=1)
-        assert tree.to_dict() == {"kind": "random_tree", "max_depth": 4, "split": [0],
-                                  "feature": [], "threshold": [], "leaf": [3]}
+        assert tree.to_dict() == {"split": [0], "feature": [], "threshold": [], "leaf": [3]}
 
     def test_xor_solved_at_depth_two(self):
         w = uniform_weights(4)
@@ -351,9 +349,9 @@ def on_every_threshold(tree, X):
     return np.vstack(copies)
 
 
-def from_root(root, max_depth):
+def from_root(root):
     """The tree whose nested form is root, read from its model-file member."""
-    return RandomTree.from_dict(tree_oracle.document(root, max_depth))
+    return RandomTree.from_dict(tree_oracle.document(root))
 
 
 HAND_TREE = {
@@ -384,7 +382,7 @@ class TestTreeRoutingMatchesOracle:
         tree = train_random_tree(X, y, uniform_weights(80), max_depth=6, seed=4)
         assert tree.split_nodes().size > 3
         assert_routes_like_oracle(tree, on_every_threshold(tree, X))
-        hand = from_root(HAND_TREE, 2)
+        hand = from_root(HAND_TREE)
         rows = np.array([[5.0, 0.5], [-1.0, 0.6], [np.nan, 0.6], [0.0, np.nan]])
         assert hand.predict(rows).tolist() == [0, 1, 2, 2]
 
@@ -398,7 +396,7 @@ class TestTreeRoutingMatchesOracle:
             assert_routes_like_oracle(tree, on_every_threshold(tree, X))
 
     def test_root_leaf(self):
-        tree = from_root({"leaf": 2}, 3)
+        tree = from_root({"leaf": 2})
         assert tree.depth() == 0
         assert tree.children.tolist() == [0, 0]
         assert tree.predict(np.zeros((4, 2))).tolist() == [2, 2, 2, 2]
@@ -429,7 +427,7 @@ class TestTreeRoutingMatchesOracle:
 
     def test_memory_bounded_by_blocks(self):
         rng = np.random.default_rng(14)
-        tree = from_root(complete_tree(rng, 8, 3, 4), 8)
+        tree = from_root(complete_tree(rng, 8, 3, 4))
         X = np.asfortranarray(rng.normal(size=(1 << 17, 3)))
         tree.predict(X[:8])  # any first-call allocations happen outside the trace
         tracemalloc.start()
@@ -478,7 +476,7 @@ class TestTreeRoutingMatchesOracle:
 
 def assert_document_types(doc):
     """Keys in the file's order; int flags, features and leaves, float thresholds."""
-    assert list(doc) == ["kind", "max_depth", "split", "feature", "threshold", "leaf"]
+    assert list(doc) == ["split", "feature", "threshold", "leaf"]
     assert set(doc["split"]) <= {0, 1}
     for key, kind in (("split", int), ("feature", int), ("threshold", float), ("leaf", int)):
         assert all(type(v) is kind for v in doc[key]), key
@@ -502,15 +500,15 @@ def assert_same_arrays(a, b):
 
 class TestTreeLayout:
     def test_pre_order_arrays(self):
-        tree = from_root(HAND_TREE, 2)
+        tree = from_root(HAND_TREE)
         assert tree.feature.tolist() == [1, 0, 0, 0, 0]
         assert tree.threshold.tolist() == [0.5, np.inf, -1.0, np.inf, np.inf]
         assert tree.children.tolist() == [1, 2, 1, 1, 3, 4, 3, 3, 4, 4]
         assert tree.value[[1, 3, 4]].tolist() == [0, 1, 2]
         assert tree.split_nodes().tolist() == [0, 2]
         assert tree.depth() == 2
-        assert tree.to_dict() == {"kind": "random_tree", "max_depth": 2, "split": [1, 0, 1, 0, 0],
-                                  "feature": [1, 0], "threshold": [0.5, -1.0], "leaf": [0, 1, 2]}
+        assert tree.to_dict() == {"split": [1, 0, 1, 0, 0], "feature": [1, 0],
+                                  "threshold": [0.5, -1.0], "leaf": [0, 1, 2]}
         assert tree_oracle.nested(tree) == HAND_TREE
 
     def test_round_trip_rebuilds_equal_arrays(self):
@@ -519,7 +517,7 @@ class TestTreeLayout:
         y = rng.integers(0, 4, 100)
         trees = [train_random_tree(X, y, uniform_weights(100), max_depth=d, seed=d)
                  for d in range(1, 7)]
-        trees += [from_root({"leaf": 3}, 4), from_root(complete_tree(rng, 6, 3, 4), 6)]
+        trees += [from_root({"leaf": 3}), from_root(complete_tree(rng, 6, 3, 4))]
         assert [t.depth() for t in trees[:6]] == list(range(1, 7))
         assert (~np.isfinite(trees[-1].threshold)).sum() == 64
         probes = np.vstack([X, rng.normal(scale=2.0, size=(200, 3))])
@@ -538,8 +536,7 @@ class TestTreeLayout:
         before = json.dumps(tree.to_dict())
         tree.predict(X)
         assert json.dumps(tree.to_dict()) == before
-        assert set(tree.to_dict()) == {"kind", "max_depth", "split", "feature", "threshold",
-                                       "leaf"}
+        assert set(tree.to_dict()) == {"split", "feature", "threshold", "leaf"}
 
     @pytest.mark.parametrize("K", [2, 3, 4, 5])
     def test_document_round_trip_keeps_its_bytes(self, K):
@@ -556,22 +553,17 @@ class TestTreeLayout:
         for tree in trees:
             doc = tree.to_dict()
             assert_document_types(doc)
-            assert tree_oracle.document(tree_oracle.nested(tree), doc["max_depth"]) == doc
+            assert tree_oracle.document(tree_oracle.nested(tree)) == doc
             back = RandomTree.from_dict(json.loads(json.dumps(doc)))
             assert json.dumps(back.to_dict()) == json.dumps(doc)
             for t in (tree, back):
                 assert not hasattr(t, "root")
                 assert all(isinstance(v, (np.ndarray, int)) for v in vars(t).values())
 
-    @pytest.mark.parametrize("max_depth", ["4", 4.0, True])
-    def test_non_integer_max_depth_rejected(self, max_depth):
-        with pytest.raises(ValueError, match="tree max_depth must be an integer"):
-            RandomTree.from_dict(tree_oracle.document({"leaf": 0}, max_depth))
-
     def test_non_finite_threshold_rejected(self):
         with pytest.raises(ValueError, match="tree threshold must be finite"):
             from_root({"feature": 0, "threshold": float("nan"),
-                       "left": {"leaf": 0}, "right": {"leaf": 1}}, 1)
+                       "left": {"leaf": 0}, "right": {"leaf": 1}})
 
     @pytest.mark.parametrize("split, message", [
         ([], "tree split mask leaves 1 child slots empty"),
@@ -583,7 +575,7 @@ class TestTreeLayout:
     ])
     def test_split_mask_must_be_a_pre_order_full_binary_tree(self, split, message):
         # the other arrays fit the mask, so only its shape is at fault
-        doc = {"kind": "random_tree", "max_depth": 4, "split": split,
+        doc = {"split": split,
                "feature": [0] * sum(split), "threshold": [0.5] * sum(split),
                "leaf": [0] * (len(split) - sum(split))}
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -594,7 +586,7 @@ class TestTreeLayout:
         ("leaf", lambda v: v[1:]), ("leaf", lambda v: v + [0]),
     ])
     def test_array_lengths_must_fit_the_mask(self, key, change):
-        doc = tree_oracle.document(HAND_TREE, 2)
+        doc = tree_oracle.document(HAND_TREE)
         doc[key] = change(doc[key])
         with pytest.raises(ValueError, match="tree has 2 split nodes and 3 leaves, but"):
             RandomTree.from_dict(doc)
@@ -611,7 +603,7 @@ class TestTreeLayout:
         ("threshold", float("-inf"), "tree threshold must be finite"),
     ])
     def test_array_values_checked(self, key, value, message):
-        doc = tree_oracle.document(HAND_TREE, 2)
+        doc = tree_oracle.document(HAND_TREE)
         doc[key][0] = value
         with pytest.raises(ValueError) as err:
             RandomTree.from_dict(doc)
@@ -619,7 +611,7 @@ class TestTreeLayout:
 
     @pytest.mark.parametrize("key", ["split", "feature", "threshold", "leaf"])
     def test_arrays_must_be_json_arrays(self, key):
-        doc = tree_oracle.document(HAND_TREE, 2)
+        doc = tree_oracle.document(HAND_TREE)
         doc[key] = {"0": doc[key][0]}
         with pytest.raises(TypeError, match="values must be a JSON array$"):
             RandomTree.from_dict(doc)
@@ -806,12 +798,10 @@ class TestSerialization:
         for h in hyps:
             # a k-NN member stores only its weights; the reference set comes back
             # from its ensemble
-            back = hypothesis_from_dict(json.loads(json.dumps(h.to_dict())), hyps[2].reference)
+            doc = json.loads(json.dumps(h.to_dict()))
+            back = (KnnHypothesis.from_dict(doc, hyps[2].reference) if h.kind == "knn"
+                    else type(h).from_dict(doc))
             assert np.array_equal(h.predict(probes), back.predict(probes))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown"):
-            hypothesis_from_dict({"kind": "perceptron"})
 
     @pytest.mark.parametrize("fields, message", [
         ({"labels": [0.7, 1]}, "k-NN reference label must be an integer, got 0.7"),
@@ -848,9 +838,9 @@ class TestSerialization:
         (float("nan"), "stump threshold must be finite"),
     ])
     def test_stump_threshold_must_be_a_finite_number(self, value, message):
-        doc = {"kind": "stump", "feature": 0, "threshold": value, "left": 0, "right": 1}
+        doc = {"feature": 0, "threshold": value, "left": 0, "right": 1}
         with pytest.raises(ValueError) as err:
-            hypothesis_from_dict(doc)
+            DecisionStump.from_dict(doc)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("value, message", [
@@ -859,18 +849,15 @@ class TestSerialization:
         (float("inf"), "tree threshold must be finite"),
     ])
     def test_tree_threshold_must_be_a_finite_number(self, value, message):
-        doc = {"kind": "random_tree", "max_depth": 2, "split": [1, 0, 0], "feature": [0],
-               "threshold": [value], "leaf": [0, 1]}
+        doc = {"split": [1, 0, 0], "feature": [0], "threshold": [value], "leaf": [0, 1]}
         with pytest.raises(ValueError) as err:
-            hypothesis_from_dict(doc)
+            RandomTree.from_dict(doc)
         assert str(err.value) == message
 
     def test_integer_thresholds_load(self):
-        stump = hypothesis_from_dict(
-            {"kind": "stump", "feature": 0, "threshold": 1, "left": 0, "right": 1})
-        tree = hypothesis_from_dict(
-            {"kind": "random_tree", "max_depth": 2, "split": [1, 0, 0], "feature": [0],
-             "threshold": [1], "leaf": [0, 1]})
+        stump = DecisionStump.from_dict({"feature": 0, "threshold": 1, "left": 0, "right": 1})
+        tree = RandomTree.from_dict({"split": [1, 0, 0], "feature": [0], "threshold": [1],
+                                     "leaf": [0, 1]})
         X = np.array([[0.5], [1.0], [1.5]])
         assert stump.predict(X).tolist() == tree.predict(X).tolist() == [0, 0, 1]
 

@@ -219,6 +219,19 @@ class TestFilterPartition:
         with pytest.raises(ValueError, match="fewer than 2"):
             filter_partition(Partition(np.array([0]), 0), ds)
 
+    def test_reported_gini_describes_the_split(self):
+        # 0/1 features tie many scores, so scan and split must break ties alike
+        rng = np.random.default_rng(14)
+        grid = [0.25, 0.5, 0.75]
+        for _ in range(200):
+            ds = Dataset.from_arrays(rng.integers(0, 2, (16, 1)).astype(float),
+                                     rng.integers(0, 2, 16))
+            part = Partition(np.sort(rng.choice(16, 8, replace=False)), 0)
+            res = filter_partition(part, ds, kernel=KernelSpec("linear"), grid=grid)
+            pt = res.chosen_point
+            assert pt.gini_clean == gini_impurity(ds.labels[res.clean_indices])
+            assert pt.gini_noisy == gini_impurity(ds.labels[res.noisy_indices])
+
     def test_result_invariants(self):
         ds = ring_noise_dataset(0)
         part = Partition(np.arange(100), 0)

@@ -32,11 +32,10 @@ def nested(tree) -> dict:
     return node(0)
 
 
-def document(root, max_depth) -> dict:
+def document(root) -> dict:
     """The model file's tree member for a nested tree: its pre-order split
     mask, its split nodes' features and thresholds and its leaves' classes."""
-    doc = {"kind": "random_tree", "max_depth": max_depth,
-           "split": [], "feature": [], "threshold": [], "leaf": []}
+    doc = {"split": [], "feature": [], "threshold": [], "leaf": []}
 
     def visit(node):
         doc["split"].append(0 if "leaf" in node else 1)
