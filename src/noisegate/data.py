@@ -150,9 +150,18 @@ def parse_libsvm(text: str) -> Dataset:
     return _assemble(*(_scan_blocks(text) or _scan_lines(text)))
 
 
+def _numeral(convert, text: str):
+    """``convert(text)`` for ``int`` or ``float``, refusing with ValueError
+    what they accept beyond a plain numeral: an underscore, as in ``1_0``,
+    and any non-ASCII character, such as a digit of another script."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain numeral: {text!r}")
+    return convert(text)
+
+
 def _scan_lines(text):
-    """The line loop: every index and value through ``int``/``float``, and
-    the only source of ``ParseError``s about the text."""
+    """The line loop: every index and value through ``_numeral``, and the
+    only source of ``ParseError``s about the text."""
     vocab: dict[str, int] = {}
     labels: list[int] = []
     # typed buffers, filled a line at a time: a stored value costs 16 bytes
@@ -178,7 +187,7 @@ def _scan_lines(text):
             if not sep:
                 raise ParseError(f"expected index:value pair, got {chunk!r}", lineno)
             try:
-                idx = int(idx_str)
+                idx = _numeral(int, idx_str)
             except ValueError:
                 raise ParseError(f"non-integer feature index {idx_str!r}", lineno) from None
             if idx < 1:
@@ -186,7 +195,7 @@ def _scan_lines(text):
             if idx <= prev:
                 raise ParseError("feature indices not strictly increasing", lineno)
             try:
-                val = float(val_str)
+                val = _numeral(float, val_str)
             except ValueError:
                 raise ParseError(f"non-numeric value {val_str!r}", lineno) from None
             if not isfinite(val):
@@ -381,7 +390,7 @@ def parse_csv(text: str, label_column: int) -> Dataset:
                 labels.append(vocab.setdefault(cell.strip(), len(vocab)))
                 continue
             try:
-                val = float(cell)
+                val = _numeral(float, cell)
             except ValueError:
                 raise ParseError(f"non-numeric value {cell!r} in column {j}", lineno) from None
             if not math.isfinite(val):

@@ -18,10 +18,8 @@ from .data import ScalingSpec
 from .learners import (
     _HYPOTHESIS_KINDS,
     _ROUTE_BYTES,
-    DecisionStump,
     KnnHypothesis,
     KnnReference,
-    RandomTree,
     StumpIndex,
     _integer,
     _json_array,
@@ -75,30 +73,33 @@ class BoostTrace:
 
 @dataclass
 class PartitionEnsemble:
-    members: list[tuple[float, object]]
+    """One partition's boosted (alpha, hypothesis) members, all of one
+    learner ``kind``; k-NN members also share one ``reference`` set, which is
+    None for the other kinds."""
+
+    members: tuple[tuple[float, object], ...]
     beta: float
     partition_id: int
     K: int
     trace: BoostTrace | None = None
 
     def __post_init__(self):
+        self.members = tuple(self.members)  # checked once, so never mutated
         if not self.members:
             raise ValueError("ensemble has no members")
         if any(not 0 < alpha < math.inf for alpha, _ in self.members):  # NaN too
             raise ValueError("member vote weights must be positive and finite")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-
-
-def _predict(h, X, nearest: dict) -> np.ndarray:
-    """h's labels for the rows of X. ``nearest`` caches the neighbour query of
-    each k-NN reference set on X, so members sharing one search it once.
-    """
-    if not isinstance(h, KnnHypothesis):
-        return h.predict(X)
-    if h.reference not in nearest:
-        nearest[h.reference] = h.reference.neighbours(X)
-    return h.vote(nearest[h.reference])
+        kinds = sorted({h.kind for _, h in self.members})
+        if len(kinds) > 1:
+            raise ValueError(f"partition {self.partition_id}: members of kinds {kinds}: "
+                             "an ensemble holds one learner kind")
+        self.kind = kinds[0]
+        self.reference = self.members[0][1].reference if self.kind == "knn" else None
+        if self.kind == "knn" and any(h.reference is not self.reference for _, h in self.members):
+            raise ValueError(f"partition {self.partition_id}: k-NN members hold "
+                             "different reference sets: an ensemble holds one")
 
 
 def _train_weak(base: LearnerConfig, X, y, w, rng, shared):
@@ -145,19 +146,19 @@ def adaboost_train(
         raise ValueError("need at least 2 classes")
     rng = np.random.default_rng(seed)
     w = uniform_weights(n)
-    shared = None
+    shared = nearest = None
     if base.kind == "stump":
         shared = StumpIndex(X, y)
     elif base.kind == "knn":
         shared = KnnReference(X, y, min(base.knn_k, n))
-    nearest: dict[KnnReference, np.ndarray] = {}
+        nearest = shared.neighbours(X)  # every round's member votes on these
     members: list[tuple[float, object]] = []
     trace = BoostTrace() if keep_trace else None
     if trace is not None:
         trace.weights.append(w.copy())
     for _ in range(T):
         h = _train_weak(base, X, y, w, rng, shared)
-        pred = _predict(h, X, nearest)
+        pred = h.predict(X) if nearest is None else h.vote(nearest)
         mistakes = pred != y
         eps = float(w[mistakes].sum())  # weighted_error without a second predict
         # the 1e-12 band keeps float noise from sneaking chance-level rounds in
@@ -196,9 +197,9 @@ def _add_votes(flat: np.ndarray, row_start: np.ndarray, weight: float, pred: np.
 
 
 def _compile_trees(E: PartitionEnsemble):
-    """Per-feature threshold tables of an all-tree ensemble (QuickScorer,
-    Lucchese et al. 2015); None unless every member is a RandomTree of at
-    most 64 leaves and the tables fit in ``_TABLE_BYTES``.
+    """Per-feature threshold tables of a tree ensemble (QuickScorer,
+    Lucchese et al. 2015); None unless every tree has at most 64 leaves and
+    the tables fit in ``_TABLE_BYTES``.
 
     Tree t's leaves are the bits of a word, numbered in pre-order, which is
     left to right. A split node's mask clears the leaves of its left subtree:
@@ -208,8 +209,6 @@ def _compile_trees(E: PartitionEnsemble):
     of the leaves that vote c or higher.
     """
     trees = [h for _, h in E.members]
-    if not trees or not all(isinstance(h, RandomTree) for h in trees):
-        return None
     leaves = [~np.isfinite(h.threshold) for h in trees]
     width = max(int(leaf.sum()) for leaf in leaves)
     if width > 64:
@@ -243,8 +242,8 @@ def _compile_trees(E: PartitionEnsemble):
 
 
 def _tree_ranks(ensembles, X: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """{f: (U, rank)} per feature f that a split of an all-tree ensemble
-    among ``ensembles`` uses: U holds those ensembles' distinct thresholds on
+    """{f: (U, rank)} per feature f that a split of a tree ensemble among
+    ``ensembles`` uses: U holds those ensembles' distinct thresholds on
     f, sorted, and rank each row's count of U below its value (|U| for a
     NaN), in the narrowest unsigned dtype that holds |U|.
 
@@ -255,7 +254,7 @@ def _tree_ranks(ensembles, X: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndar
     """
     feature, threshold = [], []
     for E in ensembles:
-        if all(isinstance(h, RandomTree) for _, h in E.members):
+        if E.kind == "tree":
             for _, h in E.members:
                 split = h.split_nodes()
                 feature.append(h.feature[split])
@@ -275,7 +274,7 @@ def _tree_ranks(ensembles, X: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndar
 
 
 def _tree_scores(compiled, ranks: dict, n: int) -> np.ndarray:
-    """Summed vote weight per class of a compiled all-tree ensemble, for the
+    """Summed vote weight per class of a compiled tree ensemble, for the
     n rows ranked in ``ranks`` (``_tree_ranks`` of ensembles including it).
 
     Per used feature, ``np.searchsorted(t, U)`` and then ``t.size`` map a
@@ -326,7 +325,7 @@ def _tree_scores(compiled, ranks: dict, n: int) -> np.ndarray:
 
 
 def _stump_scores(E: PartitionEnsemble, X: np.ndarray) -> np.ndarray:
-    """Summed vote weight per class of an all-stump ensemble, shape (rows, K).
+    """Summed vote weight per class of a stump ensemble, shape (rows, K).
 
     Per member, ``alpha * (x <= t)`` goes to the left class's row of a (K,
     rows) array and ``alpha * ~(x <= t)`` to the right class's, so a NaN goes
@@ -345,26 +344,27 @@ def _stump_scores(E: PartitionEnsemble, X: np.ndarray) -> np.ndarray:
 
 
 def ensemble_scores(E: PartitionEnsemble, X, ranks: dict | None = None) -> np.ndarray:
-    """Summed vote weight per class, shape (rows, K). An all-tree ensemble of
-    at most 64 leaves per tree is scored from its threshold tables, an
-    all-stump one a column at a time, any other one member by member.
+    """Summed vote weight per class, shape (rows, K). A stump ensemble is
+    scored a column at a time, a tree ensemble of at most 64 leaves per tree
+    from its threshold tables, any other one member by member: a k-NN
+    ensemble's members all vote on one neighbour search.
 
     ``ranks`` is ``_tree_ranks`` of X over ensembles that include E; by
     default the tables rank X against E's own thresholds. The tables live
     only in this call, so a caller scoring ensembles in turn holds one
     ensemble's tables at a time."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if all(isinstance(h, DecisionStump) for _, h in E.members):
+    if E.kind == "stump":
         return _stump_scores(E, X)
-    compiled = _compile_trees(E)
+    compiled = _compile_trees(E) if E.kind == "tree" else None
     if compiled is not None:
         return _tree_scores(compiled, _tree_ranks([E], X) if ranks is None else ranks,
                             X.shape[0])
     scores = np.zeros(X.shape[0] * E.K)
     row_start = np.arange(0, X.shape[0] * E.K, E.K)
-    nearest: dict[KnnReference, np.ndarray] = {}
+    nearest = None if E.reference is None else E.reference.neighbours(X)
     for alpha, h in E.members:
-        _add_votes(scores, row_start, alpha, _predict(h, X, nearest))
+        _add_votes(scores, row_start, alpha, h.predict(X) if nearest is None else h.vote(nearest))
     return scores.reshape(-1, E.K)
 
 
@@ -436,18 +436,9 @@ def _model_head(G: GlobalModel) -> dict:
 
 
 def _ensemble_to_dict(E: PartitionEnsemble) -> dict:
-    kinds = sorted({h.kind for _, h in E.members})
-    if len(kinds) > 1:
-        raise ValueError(f"partition {E.partition_id}: members of kinds {kinds} cannot be "
-                         "saved: an ensemble stores one learner kind")
-    doc = {"partition_id": E.partition_id, "beta": E.beta, "kind": kinds[0]}
-    # the members' one reference set, which the ensemble stores for them
-    refs = [h.reference for _, h in E.members if isinstance(h, KnnHypothesis)]
-    if any(r is not refs[0] and not r.equals(refs[0]) for r in refs[1:]):
-        raise ValueError(f"partition {E.partition_id}: "
-                         "k-NN members disagree on their reference set")
-    if refs:
-        doc["knn"] = refs[0].to_dict()
+    doc = {"partition_id": E.partition_id, "beta": E.beta, "kind": E.kind}
+    if E.reference is not None:
+        doc["knn"] = E.reference.to_dict()  # once, for all the members
     doc["members"] = [{"alpha": alpha, **h.to_dict()} for alpha, h in E.members]
     return doc
 

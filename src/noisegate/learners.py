@@ -329,8 +329,8 @@ class RandomTree:
         row at a leaf stays there. Rows go in blocks of ``_ROUTE_BYTES // 8``,
         so the temporaries do not grow with the input.
 
-        Boosting calls this on its training rows; the vote only for a tree of
-        more than 64 leaves or one in a mixed ensemble.
+        Boosting calls this on its training rows; the vote only for a tree
+        ensemble that its threshold tables cannot take.
         """
         X = np.atleast_2d(X)
         n, m = X.shape[0], _ROUTE_BYTES // 8
@@ -497,13 +497,6 @@ class KnnReference:
             raise ValueError(f"k-NN references have {self.refs.shape[1]} features, "
                              f"not {n_features}")
         _check_range("k-NN reference label", self.labels, K)
-
-    def equals(self, other: "KnnReference") -> bool:
-        return (
-            self.k == other.k
-            and np.array_equal(self.refs, other.refs)
-            and np.array_equal(self.labels, other.labels)
-        )
 
     def to_dict(self) -> dict:
         return {"refs": self.refs.tolist(), "labels": self.labels.tolist(), "k": self.k}

@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import (
     Dataset,
+    ScalingSpec,
     apply_scale,
     dataset_stats,
     min_max_scale,
@@ -203,23 +204,21 @@ def _parse_training(cfg: RunConfig) -> Dataset:
     return train
 
 
-def _fit_to_model(model: GlobalModel, test: Dataset) -> Dataset:
-    """test at the model's width and scale: zero columns padded on the right,
-    then mapped through the model's scaling spec.
+def _fit_to_model(test: Dataset, n_features: int, scaling: ScalingSpec | None) -> Dataset:
+    """test at a model's width and scale: zero columns padded on the right up
+    to ``n_features``, then mapped through ``scaling`` unless it is None.
 
     Each step drops its input once its output exists, so a caller that passes
     its only reference holds at most two copies of the features at once, and
     only the column-major scaled one afterwards.
     """
-    if test.d > model.n_features:
-        raise ValueError(
-            f"test data has {test.d} features, model expects {model.n_features}"
-        )
-    if test.d < model.n_features:
-        pad = np.zeros((test.n, model.n_features - test.d))
+    if test.d > n_features:
+        raise ValueError(f"test data has {test.d} features, model expects {n_features}")
+    if test.d < n_features:
+        pad = np.zeros((test.n, n_features - test.d))
         test = Dataset(np.hstack([test.features, pad]), test.labels, test.label_names)
-    if model.scaling is not None:
-        test = apply_scale(model.scaling, test)
+    if scaling is not None:
+        test = apply_scale(scaling, test)
     return test
 
 
@@ -333,6 +332,8 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
     working = train
     if cfg.scaling:
         working, scaling_spec = min_max_scale(train)
+    if test is not None:  # every repetition's model has train's width and scaling
+        test = _fit_to_model(test, train.d, scaling_spec)
     timings["scale"] = time.perf_counter() - t0
 
     kernel = cfg.kernel_spec(train.d)
@@ -366,7 +367,7 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
         accuracy = None
         if test is not None:
             t0 = time.perf_counter()
-            accuracy, conf, unseen = evaluate_model(model, _fit_to_model(model, test))
+            accuracy, conf, unseen = evaluate_model(model, test)
             confusion = conf if confusion is None else confusion + conf
             for name, count in unseen.items():
                 unseen_totals[name] = unseen_totals.get(name, 0) + count
@@ -406,7 +407,8 @@ def evaluate(model_path, test_path, format: str = "libsvm", label_column: int = 
     """Score a saved model against a test file."""
     model = load_model(model_path)
     # the parsed and padded arrays are freed before the vote
-    test = _fit_to_model(model, _parse(test_path, format, label_column))
+    test = _fit_to_model(_parse(test_path, format, label_column), model.n_features,
+                         model.scaling)
     accuracy, confusion, unseen = evaluate_model(model, test)
     return {
         "accuracy": accuracy,
@@ -421,7 +423,8 @@ def predict_labels(model_path, data_path, format: str = "libsvm",
                    label_column: int = -1) -> list[str]:
     """Predicted label tokens, one per input row."""
     model = load_model(model_path)
-    features = _fit_to_model(model, _parse(data_path, format, label_column)).features
+    features = _fit_to_model(_parse(data_path, format, label_column), model.n_features,
+                             model.scaling).features
     return [model.label_names[p] for p in global_predict_batch(model, features)]
 
 

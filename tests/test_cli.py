@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from noisegate import cli
+from noisegate import cli, pipeline
 from noisegate.cli import build_config, cli_parse, main
 from noisegate.ensemble import DegenerateEnsembleError, LearnerConfig
 from noisegate.pipeline import PartitionError, RunConfig, gini_scan
@@ -238,6 +238,37 @@ class TestCommands:
         assert code == 3
         assert capsys.readouterr() == (
             "", "error: feature 1 spans [-1e+308, 1e+308], a range wider than float64 holds\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("a 1:0.5\nb 1_0:0.5\n", [], "line 2: non-integer feature index '1_0'"),
+        ("a 1:0.5\nb 1:1_000\n", [], "line 2: non-numeric value '1_000'"),
+        ("a 1:0.5\nb \u0661:0.5\n", [], "line 2: non-integer feature index '\u0661'"),
+        ("a 1:0.5\nb 1:\uff11.5\n", [], "line 2: non-numeric value '\uff11.5'"),
+        ("0.5,a\n1_0,b\n", ["--format", "csv"], "line 2: non-numeric value '1_0' in column 0"),
+        ("0.5,a\n\uff11,b\n", ["--format", "csv"],
+         "line 2: non-numeric value '\uff11' in column 0"),
+    ], ids=["underscore-index", "underscore-value", "arabic-indic-index", "full-width-value",
+            "csv-underscore", "csv-full-width"])
+    def test_python_only_numeral_is_data_error(self, tmp_path, capsys, text, flags, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        out = str(tmp_path / "o")
+        assert main(["train", "--train", str(bad), "--out", out] + flags) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not os.path.exists(out)
+
+    def test_too_wide_test_file_fails_before_training(self, data_files, tmp_path, capsys,
+                                                       monkeypatch):
+        def no_stage(*args):
+            raise AssertionError("a partition stage ran")
+
+        monkeypatch.setattr(pipeline, "_partition_stage", no_stage)
+        wide = tmp_path / "wide.svm"
+        wide.write_text("0 1:0.5 2:0.5 3:0.5\n")
+        out = str(tmp_path / "o")
+        assert main(train_args(data_files[0], str(wide), out, ["--reps", "3"])) == 3
+        assert capsys.readouterr() == ("", "error: test data has 3 features, model expects 2\n")
         assert not os.path.exists(out)
 
     def test_degenerate_ensemble_exit_code(self, tmp_path, capsys):

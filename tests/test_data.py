@@ -75,6 +75,18 @@ class TestParseLibsvm:
             parse_libsvm("1 1:1\n0 2:1 18446744073709551616:1\n1 3:1")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("pair, message", [
+        ("1_0:0.5", "non-integer feature index '1_0'"),
+        ("1:1_000", "non-numeric value '1_000'"),
+        ("\u0661:0.5", "non-integer feature index '\u0661'"),
+        ("1:\uff11.5", "non-numeric value '\uff11.5'"),
+    ], ids=["underscore-index", "underscore-value", "arabic-indic-index", "full-width-value"])
+    def test_python_only_numerals_rejected(self, pair, message):
+        # int and float read these as 10, 1000, 1 and 1.5
+        with pytest.raises(ParseError) as err:
+            parse_libsvm(f"a 1:0.5\na {pair}\n")
+        assert str(err.value) == f"line 2: {message}"
+
     def test_features_are_dense_float64(self):
         ds = parse_libsvm("1 2:1\n2 1:3")
         assert type(ds.features) is np.ndarray and ds.features.dtype == np.float64
@@ -149,13 +161,14 @@ MALFORMED = [
     "1 1:0x10",
     "1 9007199254740993:1",
     "1 9007199254740992:1 9007199254740993:1",
+    # numerals that int and float accept but LIBSVM does not
+    "1 1:1_0",
+    "1 \u0661:1",
+    "1 1:\u0661",
 ]
 # the line loop reads these; the fast path declines them
 FALLBACK = [
     "1 +1:2",
-    "1 1:1_0",
-    "1 \u0661:1",
-    "1 1:\u0661",
     "1 1:1\x0b2:1",
     "1 1:1\r\n2 2:2\r\n",
     "1 1:1e5\u20032:2",
@@ -261,6 +274,13 @@ class TestParseCsv:
     def test_non_numeric_feature(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_csv("1.0,a\noops,a", label_column=1)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\uff11", "\u0661.5"])
+    def test_python_only_numerals_rejected(self, cell):
+        # float reads these as 10, 1 and 1.5
+        with pytest.raises(ParseError) as err:
+            parse_csv(f"1.0,2.0,a\n3.0,{cell},b\n", label_column=2)
+        assert str(err.value) == f"line 2: non-numeric value {cell!r} in column 1"
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
     def test_non_finite_value_rejected(self, token):

@@ -248,35 +248,36 @@ def knn_members(rng, count, K, alphas):
 
 
 class TestFlatIndexVotes:
-    """The flat-index vote sums against one 2-D fancy-index add per member."""
+    """The member loop's flat-index vote sums against one 2-D fancy-index add
+    per member, on the kinds it votes: k-NN, and trees of more than 64 leaves."""
 
     ALPHAS = (0.1, 0.3, 0.7)  # repeated alphas, so rows tie between classes
 
-    def members(self, rng, K):
-        stumps = [
-            (float(rng.choice(self.ALPHAS)),
-             DecisionStump(int(rng.integers(3)), float(rng.normal()),
-                           int(rng.integers(K)), int(rng.integers(K))))
-            for _ in range(20)
-        ]
-        return stumps + knn_members(rng, 4, K, self.ALPHAS)
+    def members(self, rng, K, kind, count=20):
+        if kind == "knn":
+            return knn_members(rng, count, K, self.ALPHAS)
+        return [(float(rng.choice(self.ALPHAS)), random_tree(rng, 65, 3, K))
+                for _ in range(count)]
 
     @pytest.mark.parametrize("K", [2, 5])
     def test_ensemble_scores_equal_oracle(self, K):
         rng = np.random.default_rng(50 + K)
         X = rng.normal(size=(300, 3))
-        E = PartitionEnsemble(self.members(rng, K), 0.5, 0, K=K)
-        expected = vote_oracle.ensemble_scores(E, X)
-        assert has_tie(expected)
-        assert np.array_equal(ensemble_scores(E, X), expected)
-        assert np.array_equal(ensemble_predict_batch(E, X), np.argmax(expected, axis=1))
+        for kind in ("knn", "tree"):
+            E = PartitionEnsemble(self.members(rng, K, kind), 0.5, 0, K=K)
+            assert kind == "knn" or ensemble._compile_trees(E) is None
+            expected = vote_oracle.ensemble_scores(E, X)
+            assert has_tie(expected)
+            assert np.array_equal(ensemble_scores(E, X), expected)
+            assert np.array_equal(ensemble_predict_batch(E, X), np.argmax(expected, axis=1))
 
     @pytest.mark.parametrize("K", [2, 5])
     def test_global_predict_equals_oracle(self, K):
         rng = np.random.default_rng(60 + K)
         X = rng.normal(size=(300, 3))
         ensembles = [
-            PartitionEnsemble(self.members(rng, K)[:6], (0.25, 0.5)[i % 2], i, K=K)
+            PartitionEnsemble(self.members(rng, K, ("knn", "tree")[i % 3 == 2], 6),
+                              (0.25, 0.5)[i % 2], i, K=K)
             for i in range(12)
         ]
         G = GlobalModel(ensembles, [str(k) for k in range(K)], None, {}, 3)
@@ -290,8 +291,8 @@ class TestFlatIndexVotes:
                               base=LearnerConfig("tree", max_depth=3), seed=1, n_classes=3)
         tree.beta = 0.5
         ensembles = [
-            PartitionEnsemble(self.members(rng, 3), 0.5, 0, K=3),
-            PartitionEnsemble(self.members(rng, 3), 0.75, 1, K=3),
+            PartitionEnsemble(self.members(rng, 3, "knn"), 0.5, 0, K=3),
+            PartitionEnsemble(self.members(rng, 3, "tree"), 0.75, 1, K=3),
             tree,
         ]
         G = GlobalModel(ensembles, ["a", "b", "c"], None, {}, 3)
@@ -415,12 +416,67 @@ class TestTreeTables:
         assert ensemble._compile_trees(E) is None
         self.assert_oracle(E, awkward_rows(rng, 400, 3))
 
-    def test_stump_and_tree_take_the_member_loop(self):
-        rng = np.random.default_rng(100)
-        E = tree_ensemble(rng, 5, 16, 3, 3)
-        E.members.insert(2, (0.3, DecisionStump(1, 0.25, 2, 0)))
-        assert ensemble._compile_trees(E) is None
-        self.assert_oracle(E, awkward_rows(rng, 400, 3))
+
+class TestOneLearnerKind:
+    """An ensemble's members are of one learner kind, and k-NN members share
+    one reference set; construction rejects anything else, naming the
+    partition, so the vote and the saver read the kind off the ensemble."""
+
+    def test_stump_among_trees_rejected(self):
+        members = list(tree_ensemble(np.random.default_rng(100), 5, 16, 3, 3).members)
+        members.insert(2, (0.3, DecisionStump(1, 0.25, 2, 0)))
+        message = ("partition 3: members of kinds ['stump', 'tree']: "
+                   "an ensemble holds one learner kind")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PartitionEnsemble(members, 0.5, 3, K=3)
+
+    def test_mixed_kind_ensemble_not_built(self):
+        G = TestModelSerialization().build_knn()
+        members = [*G.ensembles[1].members[:-1], (0.5, DecisionStump(0, 0.5, 0, 1))]
+        message = ("partition 1: members of kinds ['knn', 'stump']: "
+                   "an ensemble holds one learner kind")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PartitionEnsemble(members, 0.5, 1, K=2)
+
+    def test_knn_members_on_two_reference_sets_rejected(self):
+        G = TestModelSerialization().build_knn()
+        alpha, h = G.ensembles[1].members[-1]
+        ref = h.reference
+        # even a reference set of equal arrays is a second one
+        for other in (KnnReference(ref.refs + 1.0, ref.labels, ref.k),
+                      KnnReference(ref.refs, ref.labels, ref.k)):
+            members = [*G.ensembles[1].members[:-1], (alpha, KnnHypothesis(other, h.weights))]
+            with pytest.raises(ValueError, match="partition 1: k-NN members hold different"):
+                PartitionEnsemble(members, 0.5, 1, K=2)
+
+    @pytest.mark.parametrize("kind", LEARNER_KINDS)
+    def test_kind_and_reference_read_off_the_members(self, kind):
+        G = TestModelSerialization().build_kind(kind)
+        for E in G.ensembles:
+            assert E.kind == kind and type(E.members) is tuple
+            if kind == "knn":
+                assert all(h.reference is E.reference for _, h in E.members)
+            else:
+                assert E.reference is None
+        with pytest.raises(AttributeError):
+            G.ensembles[0].members.append(G.ensembles[0].members[0])
+
+    def test_one_neighbour_search_per_boost_and_per_vote(self, monkeypatch):
+        neighbours, calls = KnnReference.neighbours, []
+
+        def counted(self, X):
+            calls.append(len(X))
+            return neighbours(self, X)
+
+        monkeypatch.setattr(KnnReference, "neighbours", counted)
+        rng = np.random.default_rng(170)
+        X = rng.normal(size=(40, 2))
+        y = (X[:, 0] > 0).astype(int) ^ (rng.random(40) < 0.2)  # noise: no round is perfect
+        E = adaboost_train(X, y, T=8, base=LearnerConfig("knn", knn_k=3))
+        assert len(E.members) > 1 and calls == [40]
+        calls.clear()
+        ensemble_scores(E, rng.normal(size=(25, 2)))
+        assert calls == [25]
 
 
 class TestStumpColumnVote:
@@ -508,18 +564,15 @@ class TestModelRanks:
                    DecisionStump(int(rng.integers(3)), float(rng.choice(GRID)),
                                  int(rng.integers(K)), int(rng.integers(K))))
                   for _ in range(12)]
-        mixed = tree_ensemble(rng, 5, 16, 3, K)
-        mixed.members.insert(2, stumps[0])
         ensembles = [
             tree_ensemble(rng, 8, 16, 3, K),
             PartitionEnsemble(stumps, 0.5, 0, K=K),
             PartitionEnsemble(knn_members(rng, 4, K, (0.1, 0.3, 0.7)), 0.5, 0, K=K),
             tree_ensemble(rng, 4, 65, 3, K),
-            mixed,
             tree_ensemble(rng, 6, 8, 3, K),
         ]
         for i, E in enumerate(ensembles):
-            E.beta, E.partition_id = (0.5, 0.25, 0.25)[i % 3], i  # a sum of 2.0: ties at K=2
+            E.beta, E.partition_id = (0.5, 0.25, 0.25, 0.5, 0.5)[i], i  # a sum of 2.0: ties at K=2
         G = GlobalModel(ensembles, [str(k) for k in range(K)], None, {}, 3)
         X = awkward_rows(rng, 400, 3)
         X[~np.isfinite(X)] = 0.25  # the k-NN distances take finite rows, as the pipeline's are
@@ -770,15 +823,6 @@ class TestModelSerialization:
         assert LEARNER_KINDS == ("stump", "tree", "knn")
         assert [DecisionStump.kind, RandomTree.kind, KnnHypothesis.kind] == list(LEARNER_KINDS)
 
-    def test_mixed_kind_ensemble_not_saved(self, tmp_path):
-        G = self.build()
-        alpha, _ = G.ensembles[1].members[-1]
-        G.ensembles[1].members[-1] = (alpha, DecisionStump(0, 0.5, 0, 1))
-        message = ("partition 1: members of kinds ['stump', 'tree'] cannot be saved: "
-                   "an ensemble stores one learner kind")
-        with pytest.raises(ValueError, match=re.escape(message)):
-            save_model(G, tmp_path / "model.json")
-
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_version_rejected(self, version):
         doc = model_to_dict(self.build_knn())
@@ -795,13 +839,6 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="newer than supported"):
             model_from_dict(doc)
 
-    def test_knn_members_disagreeing_on_refs_not_saved(self):
-        G = self.build_knn()
-        alpha, h = G.ensembles[1].members[-1]
-        moved = KnnReference(h.reference.refs + 1.0, h.reference.labels, h.reference.k)
-        G.ensembles[1].members[-1] = (alpha, KnnHypothesis(moved, h.weights))
-        with pytest.raises(ValueError, match="partition 1: k-NN members disagree"):
-            model_to_dict(G)
 
 
 class TestOtherBaseLearners:

@@ -253,6 +253,20 @@ class TestRunTraining:
         assert open(os.path.join(small_cfg.output_dir, "report.json"), "rb").read() == first
         assert open(os.path.join(small_cfg.output_dir, "model.json"), "rb").read() == first_model
 
+    def test_test_rows_scaled_once(self, small_cfg, monkeypatch):
+        # every repetition's model has the training data's width and scaling
+        scale, scaled = pipeline.apply_scale, []
+
+        def counted(spec, data):
+            scaled.append(data.n)
+            return scale(spec, data)
+
+        monkeypatch.setattr(pipeline, "apply_scale", counted)
+        small_cfg.repetitions = 3
+        _, report = run_training(small_cfg)
+        assert scaled == [100]
+        assert [r.accuracy is not None for r in report.repetitions] == [True] * 3
+
     def test_unreadable_file_fails_before_compute(self, small_cfg):
         small_cfg.train_path = "/nonexistent/never.svm"
         with pytest.raises(OSError):
@@ -462,7 +476,7 @@ class TestEvaluate:
         model, _ = run_training(small_cfg)
         rng = np.random.default_rng(d)
         test = Dataset.from_arrays(rng.normal(size=(30, d)), np.zeros(30))
-        features = pipeline._fit_to_model(model, test).features
+        features = pipeline._fit_to_model(test, model.n_features, model.scaling).features
         assert features.flags.f_contiguous
         assert np.array_equal(global_predict_batch(model, features),
                               global_predict_batch(model, np.ascontiguousarray(features)))
