@@ -28,7 +28,6 @@ from .pipeline import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DEGENERATE = 4
 

@@ -29,8 +29,6 @@ class Dataset:
     ``features`` is a dense (n, d) float64 array, row- or column-major; rows
     are instances. ``labels`` holds class ids in [0, K) and
     ``label_names[id]`` is the original token.
-    Instances are immutable after construction and safe to share across
-    threads.
     """
 
     features: np.ndarray
@@ -77,13 +75,6 @@ class Dataset:
         """Copy of the selected rows."""
         return self.features[np.asarray(indices, dtype=np.int64)]
 
-    def equals(self, other: "Dataset") -> bool:
-        return (
-            self.label_names == other.label_names
-            and np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.features, other.features)
-        )
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -129,9 +120,9 @@ _PARSE_BLOCK_CHARS = 1 << 18
 # an index is converted through float64, which holds every integer up to here
 _MAX_FAST_INDEX = 1 << 53
 # bytes the fast path accepts in the text after the labels: digits . e E + -
-# : space tab newline
+# : and the blanks space, tab, carriage return and newline
 _PAIR_BYTES = np.zeros(256, dtype=bool)
-_PAIR_BYTES[np.frombuffer(b"0123456789.eE+-: \t\n", dtype=np.uint8)] = True
+_PAIR_BYTES[np.frombuffer(b"0123456789.eE+-: \t\r\n", dtype=np.uint8)] = True
 
 
 def parse_libsvm(text: str) -> Dataset:

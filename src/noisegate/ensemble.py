@@ -60,6 +60,13 @@ class LearnerConfig:
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"unknown learner kind {self.kind!r}")
+        # checked whatever the kind, so a bad setting fails before a file is read
+        sizes = {"max_depth": self.max_depth, "knn_k": self.knn_k}
+        if self.k_candidates is not None:  # None takes ceil(sqrt(d)) per fit
+            sizes["k_candidates"] = self.k_candidates
+        for name, size in sizes.items():
+            if size < 1:
+                raise ValueError(f"{name} must be >= 1, got {size}")
 
 
 @dataclass
@@ -416,10 +423,6 @@ def global_predict_batch(G: GlobalModel, X) -> np.ndarray:
     return np.argmax(votes.reshape(-1, G.K), axis=1)
 
 
-def model_to_dict(G: GlobalModel) -> dict:
-    return dict(_model_head(G), ensembles=[_ensemble_to_dict(E) for E in G.ensembles])
-
-
 def _model_head(G: GlobalModel) -> dict:
     """The model document up to, but not including, its ``ensembles``."""
     return {
@@ -530,7 +533,8 @@ def _compact(doc) -> str:
 
 
 def save_model(G: GlobalModel, path) -> None:
-    """Write G as one line of compact JSON: ``_compact(model_to_dict(G))`` and a newline.
+    """Write G as one line of compact JSON and a newline: ``_model_head(G)``
+    with an ``ensembles`` array of each ensemble's ``_ensemble_to_dict``.
 
     The ensembles go one at a time after the rest of the document, so only one
     ensemble's dict and text are alive at once. ``allow_nan=False`` keeps NaN

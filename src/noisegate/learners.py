@@ -345,9 +345,6 @@ class RandomTree:
             out[lo:lo + m] = self.value[node]
         return out
 
-    def depth(self) -> int:
-        return self._depth
-
     def check(self, n_features: int, K: int) -> None:
         """Raise ValueError unless the tree fits a model of this shape."""
         split = np.isfinite(self.threshold)

@@ -39,13 +39,6 @@ class FilterResult:
     scan: list[GiniScanPoint]
     scores: np.ndarray
 
-    @property
-    def chosen_point(self) -> GiniScanPoint:
-        for pt in self.scan:
-            if pt.p == self.chosen_p:
-                return pt
-        raise ValueError("chosen percentage missing from scan")
-
 
 def gini_impurity(labels) -> float:
     """1 - sum of squared class probabilities; 0 for a pure set."""

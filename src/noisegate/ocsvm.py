@@ -62,7 +62,7 @@ def _cross_kernel(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 class KernelRowCache:
     """LRU cache of gram-matrix rows under a byte budget."""
 
-    def __init__(self, X: np.ndarray, spec: KernelSpec, budget_bytes: int = 256 << 20):
+    def __init__(self, X: np.ndarray, spec: KernelSpec, budget_bytes: int):
         self._X = X
         self._spec = spec
         self._sqn = _matrix_sq_norms(X) if spec.kind == "rbf" else None
@@ -95,8 +95,7 @@ class OcSvmModel:
     """Trained boundary: dual coefficients paired with support vectors.
 
     Only strictly positive coefficients are retained; they sum to 1 and are
-    each bounded by 1/(nu * n_train). The model is immutable in practice and
-    safe for concurrent scoring.
+    each bounded by 1/(nu * n_train).
 
     ``train_scores`` holds the decision value of each training row, in row
     order, as train_ocsvm leaves it: the solver's final gradient K @ alpha
@@ -116,19 +115,6 @@ class OcSvmModel:
     residual: float = 0.0
     n_iter: int = 0
     train_scores: np.ndarray | None = None
-
-    def validate(self) -> None:
-        """Post-hoc dual feasibility check; raises on violation."""
-        if self.alphas.size == 0:
-            raise ValueError("no support vectors retained")
-        if (self.alphas <= 0).any():
-            raise ValueError("retained coefficients must be strictly positive")
-        if self.n_train is not None:
-            ub = 1.0 / (self.nu * self.n_train)
-            if (self.alphas > ub * (1 + 1e-12)).any():
-                raise ValueError("coefficient exceeds box bound")
-        if abs(self.alphas.sum() - 1.0) > 1e-6:
-            raise ValueError("coefficients do not sum to 1")
 
 
 def train_ocsvm(

@@ -65,19 +65,13 @@ BETA_MODES = ("holdout", "train")
 class PartitionError(RuntimeError):
     """A per-partition stage failed; carries the partition id for context.
 
-    ``degenerate`` says whether the cause was a DegenerateEnsembleError. It is
-    kept as an attribute because pickling, which a worker process's failure
-    goes through, drops ``__cause__``.
+    ``degenerate`` says whether the cause was a DegenerateEnsembleError.
     """
 
-    def __init__(self, partition_id: int, cause: BaseException | str, degenerate: bool = False):
+    def __init__(self, partition_id: int, cause: BaseException):
         super().__init__(f"partition {partition_id}: {cause}")
         self.partition_id = partition_id
-        self.degenerate = degenerate or isinstance(cause, DegenerateEnsembleError)
-        self._detail = str(cause)
-
-    def __reduce__(self):
-        return type(self), (self.partition_id, self._detail, self.degenerate)
+        self.degenerate = isinstance(cause, DegenerateEnsembleError)
 
 
 def derive_seed(*parts: int) -> int:
@@ -167,10 +161,8 @@ class EvalReport:
     std_accuracy: float | None
     confusion: np.ndarray | None
     unseen_label_counts: dict
-    timings: dict
 
     def to_dict(self) -> dict:
-        """Deterministic report document; timings are deliberately excluded."""
         return {
             "config": self.config,
             "dataset": self.dataset,
@@ -267,12 +259,13 @@ def _boostable_split(part, fr: FilterResult, labels, beta_mode: str, holdout_see
     pick stands and boosting rejects the partition.
     Returns the clean indices and the chosen scan point.
     """
-    for pt in ranked_splits(fr.scan):
+    ranked = ranked_splits(fr.scan)
+    for pt in ranked:
         clean = split_by_score(part.indices, fr.scores, pt.p)[0]
         boosted = _holdout_split(len(clean), beta_mode, holdout_seed)[0]
         if np.unique(labels[clean[boosted]]).size >= 2:
             return clean, pt
-    return fr.clean_indices, fr.chosen_point
+    return fr.clean_indices, ranked[0]  # the scan's own pick, fr.chosen_p
 
 
 def _partition_stage(part, data, cfg, kernel, grid, rep_seed):
@@ -387,7 +380,6 @@ def run_training(cfg: RunConfig) -> tuple[GlobalModel, EvalReport]:
         std_accuracy=float(np.std(accuracies)) if accuracies else None,
         confusion=confusion,
         unseen_label_counts=unseen_totals,
-        timings=timings,
     )
 
     os.makedirs(cfg.output_dir, exist_ok=True)

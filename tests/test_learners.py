@@ -309,7 +309,7 @@ class TestRandomTree:
         y = rng.integers(0, 2, 60)
         for depth in (1, 2, 3):
             tree = train_random_tree(X, y, uniform_weights(60), max_depth=depth, seed=0)
-            assert tree.depth() <= depth
+            assert tree._depth <= depth
 
     def test_never_worse_than_best_constant(self):
         rng = np.random.default_rng(21)
@@ -372,7 +372,7 @@ class TestTreeRoutingMatchesOracle:
         probes[-5:, rng.integers(3)] = np.nan  # fails <= at any node: goes right
         for max_depth in range(1, 9):
             tree = train_random_tree(X, y, w, max_depth=max_depth, seed=max_depth)
-            assert tree.depth() == tree_oracle.depth(tree_oracle.nested(tree)) <= max_depth
+            assert tree._depth == tree_oracle.depth(tree_oracle.nested(tree)) <= max_depth
             assert_routes_like_oracle(tree, probes)
 
     def test_rows_on_a_threshold_go_left(self):
@@ -397,7 +397,7 @@ class TestTreeRoutingMatchesOracle:
 
     def test_root_leaf(self):
         tree = from_root({"leaf": 2})
-        assert tree.depth() == 0
+        assert tree._depth == 0
         assert tree.children.tolist() == [0, 0]
         assert tree.predict(np.zeros((4, 2))).tolist() == [2, 2, 2, 2]
         assert_routes_like_oracle(tree, np.zeros((0, 2)))
@@ -467,7 +467,7 @@ class TestTreeRoutingMatchesOracle:
         tree = train_random_tree(X, y, uniform_weights(300), max_depth=30, seed=0)
         root = tree_oracle.nested(tree)
         n_nodes = tree_oracle.node_count(root)
-        assert tree.depth() == tree_oracle.depth(root) > 8
+        assert tree._depth == tree_oracle.depth(root) > 8
         for arr in (tree.feature, tree.threshold, tree.value):
             assert arr.shape == (n_nodes,)
         assert tree.children.shape == (2 * n_nodes,)
@@ -495,7 +495,7 @@ def assert_same_arrays(a, b):
     for name in ("feature", "threshold", "children", "value"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
-    assert a.depth() == b.depth()
+    assert a._depth == b._depth
 
 
 class TestTreeLayout:
@@ -506,7 +506,7 @@ class TestTreeLayout:
         assert tree.children.tolist() == [1, 2, 1, 1, 3, 4, 3, 3, 4, 4]
         assert tree.value[[1, 3, 4]].tolist() == [0, 1, 2]
         assert tree.split_nodes().tolist() == [0, 2]
-        assert tree.depth() == 2
+        assert tree._depth == 2
         assert tree.to_dict() == {"split": [1, 0, 1, 0, 0], "feature": [1, 0],
                                   "threshold": [0.5, -1.0], "leaf": [0, 1, 2]}
         assert tree_oracle.nested(tree) == HAND_TREE
@@ -518,7 +518,7 @@ class TestTreeLayout:
         trees = [train_random_tree(X, y, uniform_weights(100), max_depth=d, seed=d)
                  for d in range(1, 7)]
         trees += [from_root({"leaf": 3}), from_root(complete_tree(rng, 6, 3, 4))]
-        assert [t.depth() for t in trees[:6]] == list(range(1, 7))
+        assert [t._depth for t in trees[:6]] == list(range(1, 7))
         assert (~np.isfinite(trees[-1].threshold)).sum() == 64
         probes = np.vstack([X, rng.normal(scale=2.0, size=(200, 3))])
         probes[-5:, 1] = np.nan
@@ -549,7 +549,7 @@ class TestTreeLayout:
         # leaf-only roots: a pure node, and no column that splits
         trees += [train_random_tree(X, np.full(120, K - 1), w, seed=0),
                   train_random_tree(np.zeros_like(X), y, w, seed=0)]
-        assert trees[2].depth() > 4 and trees[-1].depth() == trees[-2].depth() == 0
+        assert trees[2]._depth > 4 and trees[-1]._depth == trees[-2]._depth == 0
         for tree in trees:
             doc = tree.to_dict()
             assert_document_types(doc)

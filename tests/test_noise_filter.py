@@ -228,7 +228,7 @@ class TestFilterPartition:
                                      rng.integers(0, 2, 16))
             part = Partition(np.sort(rng.choice(16, 8, replace=False)), 0)
             res = filter_partition(part, ds, kernel=KernelSpec("linear"), grid=grid)
-            pt = res.chosen_point
+            pt = ranked_splits(res.scan)[0]
             assert pt.gini_clean == gini_impurity(ds.labels[res.clean_indices])
             assert pt.gini_noisy == gini_impurity(ds.labels[res.noisy_indices])
 
@@ -240,7 +240,7 @@ class TestFilterPartition:
         assert np.array_equal(merged, part.indices)
         assert len(res.clean_indices) == max(1, math.floor(res.chosen_p * 100 + 0.5))
         assert len(res.scan) == len(default_grid())
-        assert res.chosen_point.p == res.chosen_p
+        assert ranked_splits(res.scan)[0].p == res.chosen_p
 
     def test_monotone_score_transform_is_noop(self):
         rng = np.random.default_rng(9)

@@ -122,7 +122,10 @@ class TestTraining:
         rng = np.random.default_rng(4)
         for nu in (0.15, 0.5, 1.0):
             m = train_ocsvm(rng.normal(size=(60, 3)), nu=nu)
-            m.validate()
+            assert m.alphas.size > 0
+            assert (m.alphas > 0).all()
+            assert (m.alphas <= 1.0 / (nu * 60) * (1 + 1e-12)).all()
+            assert abs(m.alphas.sum() - 1.0) <= 1e-6
 
     def test_ring_outliers_scored_negative(self):
         # nu must exceed the outlier fraction for isolated points to pin at

@@ -1,5 +1,4 @@
 import os
-import pickle
 import weakref
 
 import numpy as np
@@ -102,7 +101,7 @@ class TestBoostableSplit:
         labels = np.array([0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1])
         part = Partition(np.arange(20), 0)
         fr = ranked_filter(part, labels, [0.1, 0.5, 0.9])
-        assert fr.chosen_p == 0.1 and fr.chosen_point.gini_clean == 0.0
+        assert fr.chosen_p == 0.1 and fr.scan[0].gini_clean == 0.0
         clean, pt = _boostable_split(part, fr, labels, "train", 0)
         assert pt == min(fr.scan[1:], key=lambda q: (q.ratio, -q.p))
         assert np.array_equal(clean, split_by_score(part.indices, fr.scores, pt.p)[0])
@@ -301,22 +300,6 @@ class TestRunTraining:
         assert err.value.partition_id == 0
         assert isinstance(err.value.__cause__, DegenerateEnsembleError)
 
-    @pytest.mark.parametrize("cause, degenerate", [
-        (ValueError("x"), False),
-        (DegenerateEnsembleError("all 5 rounds were skipped"), True),
-    ], ids=["data", "degenerate"])
-    def test_partition_error_survives_pickling(self, cause, degenerate):
-        try:
-            raise PartitionError(3, cause) from cause
-        except PartitionError as exc:
-            err = exc
-        copy = pickle.loads(pickle.dumps(err))
-        assert type(copy) is PartitionError
-        assert copy.partition_id == 3
-        assert str(copy) == str(err) == f"partition 3: {cause}"
-        assert copy.degenerate is err.degenerate is degenerate
-        assert copy.__cause__ is None
-
     def test_validation_errors(self, small_cfg):
         small_cfg.partitions = 0
         with pytest.raises(ValueError):
@@ -335,6 +318,18 @@ class TestRunTraining:
         with pytest.raises(ValueError, match=message):
             run(cfg)
         assert not os.path.exists(cfg.output_dir)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"max_depth": 0}, "max_depth must be >= 1, got 0"),
+        ({"k_candidates": 0}, "k_candidates must be >= 1, got 0"),
+        ({"kind": "knn", "knn_k": 0}, "knn_k must be >= 1, got 0"),
+    ], ids=["max_depth", "k_candidates", "knn_k"])
+    def test_bad_learner_setting_rejected_before_reading(self, tmp_path, settings, message):
+        # a read would raise FileNotFoundError, not ValueError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_training(RunConfig("/nonexistent/never.svm", str(tmp_path / "out"),
+                                   learner=LearnerConfig(**settings)))
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("beta_mode", ["holdout", "train"])
     def test_beta_measured_once_per_partition(self, small_cfg, monkeypatch, beta_mode):
