@@ -34,14 +34,6 @@ def _weighted_class_mass(y, w, n_classes):
     return np.bincount(y, weights=w, minlength=n_classes)
 
 
-def _weighted_gini(mass: np.ndarray) -> float:
-    total = mass.sum()
-    if total <= 0:
-        return 0.0
-    p = mass / total
-    return float(1.0 - p @ p)
-
-
 def _integer(what: str, value) -> int:
     """value itself when it is an int; a model file's "1", 1.5 or true is
     rejected rather than converted."""
@@ -373,6 +365,20 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
     and keeping the one with the lowest weighted child impurity.
 
     Stops on pure nodes, nodes below 2 instances, or at max_depth.
+
+    Draws: nodes are visited depth-first in pre-order, and each node that may
+    split takes k candidates, each ``rng.integers(d)`` for the feature, then
+    ``rng.uniform(lo, hi)`` over the node's range of that column unless
+    ``lo == hi``. So every draw a node gets depends on the nodes before it.
+
+    Sums: one ``np.bincount`` per candidate counts left rows at their class c
+    and right rows at K + c. It adds each class's weights in row order from
+    0.0, as a bincount of that side's rows alone does, so the Gini score
+    ``total * (1 - p @ p)`` of each side and their sum, left first, are fixed
+    to the bit; the first candidate with the lowest score wins.
+
+    A non-finite value, or a column whose span overflows float64, is rejected
+    before the first draw, so the Generator is left as it was.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -384,44 +390,68 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
         k_candidates = int(math.ceil(math.sqrt(d)))
     if k_candidates < 1:
         raise ValueError("k_candidates must be >= 1")
+    # a span past float64 would make rng.uniform raise halfway through the build
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = X.max(axis=0) - X.min(axis=0)
+    if not np.isfinite(span).all():
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise ValueError(f"row {int(bad[0])} holds a non-finite value")
+        raise ValueError(f"column {int(np.flatnonzero(~np.isfinite(span))[0])} spans "
+                         "more than float64 holds")
     rng = np.random.default_rng(seed)
-    n_classes = int(y.max()) + 1
+    K = int(y.max()) + 1
+    Xt = np.ascontiguousarray(X.T)
 
     split, feature, threshold, leaf = [], [], [], []
-
-    def build(idx, depth) -> None:
-        """Append the subtree over rows idx in pre-order."""
+    stack = [(np.arange(n), 0)]  # (rows, depth); the left child is pushed last
+    while stack:
+        idx, depth = stack.pop()
         best = None
-        if depth < max_depth and idx.size >= 2 and not np.all(y[idx] == y[idx[0]]):
-            best_score = math.inf
-            for _ in range(k_candidates):
-                f = int(rng.integers(d))
-                col = X[idx, f]
-                lo, hi = float(col.min()), float(col.max())
-                if lo == hi:
-                    continue
-                thr = float(rng.uniform(lo, hi))
-                mask = col <= thr
-                if not mask.any() or mask.all():
-                    continue
-                left_mass = _weighted_class_mass(y[idx[mask]], w[idx[mask]], n_classes)
-                right_mass = _weighted_class_mass(y[idx[~mask]], w[idx[~mask]], n_classes)
-                score = (left_mass.sum() * _weighted_gini(left_mass)
-                         + right_mass.sum() * _weighted_gini(right_mass))
-                if score < best_score:
-                    best_score = score
-                    best = (f, thr, mask)
+        if depth < max_depth and idx.size >= 2:
+            y_node = y.take(idx)
+            if not (y_node == y_node[0]).all():
+                w_node, y_right = w.take(idx), y_node + K
+                best_score = math.inf
+                columns = {}
+                for _ in range(k_candidates):
+                    f = int(rng.integers(d))
+                    if f not in columns:
+                        col = Xt[f].take(idx)
+                        columns[f] = col, float(col.min()), float(col.max())
+                    col, lo, hi = columns[f]
+                    if lo == hi:
+                        continue
+                    thr = float(rng.uniform(lo, hi))
+                    mask = col <= thr
+                    n_left = np.count_nonzero(mask)
+                    if n_left == 0 or n_left == idx.size:
+                        continue
+                    masses = np.bincount(np.where(mask, y_node, y_right), w_node, 2 * K)
+                    left, right = masses[:K], masses[K:]
+                    # each side's total * Gini, 0.0 for a weightless side. A row
+                    # of the (2, K) view sums as that side alone does, and @ is
+                    # BLAS ddot, whose last bit a Python sum would not keep
+                    tl, tr = masses.reshape(2, K).sum(axis=1).tolist()
+                    score = 0.0
+                    if tl > 0:
+                        p = left / tl
+                        score = tl * (1.0 - p @ p)
+                    if tr > 0:
+                        p = right / tr
+                        score += tr * (1.0 - p @ p)
+                    if score < best_score:
+                        best_score = score
+                        best = f, thr, mask
         split.append(best is not None)
         if best is None:
-            leaf.append(int(np.argmax(_weighted_class_mass(y[idx], w[idx], n_classes))))
-            return
+            leaf.append(int(np.argmax(_weighted_class_mass(y.take(idx), w.take(idx), K))))
+            continue
         f, thr, mask = best
         feature.append(f)
         threshold.append(thr)
-        build(idx[mask], depth + 1)
-        build(idx[~mask], depth + 1)
-
-    build(np.arange(n), 0)
+        stack.append((idx[~mask], depth + 1))
+        stack.append((idx[mask], depth + 1))
     return RandomTree(split, feature, threshold, leaf)
 
 

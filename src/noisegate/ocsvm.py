@@ -95,7 +95,7 @@ class OcSvmModel:
     """Trained boundary: dual coefficients paired with support vectors.
 
     Only strictly positive coefficients are retained; they sum to 1 and are
-    each bounded by 1/(nu * n_train).
+    each bounded by 1/(nu n) for n training rows.
 
     ``train_scores`` holds the decision value of each training row, in row
     order, as train_ocsvm leaves it: the solver's final gradient K @ alpha
@@ -110,7 +110,6 @@ class OcSvmModel:
     nu: float
     kernel: KernelSpec
     support_indices: np.ndarray | None = None
-    n_train: int | None = None
     converged: bool = True
     residual: float = 0.0
     n_iter: int = 0
@@ -231,7 +230,6 @@ def train_ocsvm(
         nu=nu,
         kernel=kernel,
         support_indices=keep,
-        n_train=n,
         converged=converged,
         residual=float(residual),
         n_iter=it,

@@ -114,7 +114,6 @@ def train_ocsvm_reference(
         nu=nu,
         kernel=kernel,
         support_indices=keep,
-        n_train=n,
         converged=converged,
         residual=float(residual),
         n_iter=it,

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from noisegate import learners
+from noisegate import ensemble, learners
 from noisegate.learners import (
     DecisionStump,
     KnnHypothesis,
@@ -24,10 +24,11 @@ from noisegate.learners import (
 
 from noisegate.data import min_max_scale, partition
 from noisegate.ensemble import LearnerConfig, adaboost_train
-from noisegate.synthetic import striped_ring_dataset
+from noisegate.synthetic import ring_noise_dataset, striped_ring_dataset
 
 from knn_oracle import knn_nearest, knn_predict as knn_oracle
 from stump_oracle import train_stump as stump_oracle
+import tree_fit_oracle
 import tree_oracle
 
 
@@ -330,6 +331,63 @@ class TestRandomTree:
             train_random_tree(X, y, uniform_weights(3), max_depth=0)
         with pytest.raises(ValueError):
             train_random_tree(X, y, uniform_weights(3), k_candidates=0)
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "row 2 holds a non-finite value"),
+        (np.inf, "row 2 holds a non-finite value"),
+        (1e308, "column 1 spans more than float64 holds"),
+    ], ids=["nan", "inf", "overflowing-span"])
+    def test_bad_values_rejected_before_any_draw(self, value, message):
+        X = np.array([[0.0, -1e308], [1.0, 0.5], [2.0, value], [3.0, 0.0]])
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            train_random_tree(X, np.array([0, 1, 0, 1]), uniform_weights(4), seed=rng)
+        assert rng.bit_generator.state == state
+
+
+class TestTreeFitMatchesOracle:
+    """The builder against ``tests/tree_fit_oracle.py``: the same tree, bit
+    for bit, and the same Generator state after every fit."""
+
+    @staticmethod
+    def awkward_columns(rng, n):
+        """A constant column, a column of two adjacent floats (a drawn
+        threshold lands on one of them), rounded values and a 3-value grid."""
+        return np.column_stack([
+            np.full(n, 0.25),
+            np.where(rng.random(n) < 0.5, 1.0, np.nextafter(1.0, 2.0)),
+            np.round(rng.normal(size=n), 1),
+            rng.integers(0, 3, n).astype(np.float64),
+            rng.normal(size=n),
+        ])
+
+    @pytest.mark.parametrize("k_candidates", [None, 3, 20])
+    @pytest.mark.parametrize("max_depth", [1, 4, 8])
+    @pytest.mark.parametrize("K", [2, 3, 5, 9, 12])  # 9 and 12 sum pairwise
+    def test_fits_equal_oracle(self, K, max_depth, k_candidates):
+        data = np.random.default_rng([K, max_depth, k_candidates or 0])
+        n = 160
+        X = self.awkward_columns(data, n)
+        y = data.integers(0, K, n)
+        mine, theirs = np.random.default_rng(K), np.random.default_rng(K)
+        for _ in range(4):  # one Generator through consecutive fits, as boosting does
+            w = random_weights(data, n, zero_fraction=0.3)
+            got = train_random_tree(X, y, w, max_depth, k_candidates, seed=mine)
+            want = tree_fit_oracle.train_random_tree(X, y, w, max_depth, k_candidates,
+                                                     seed=theirs)
+            assert got.to_dict() == want.to_dict()
+            assert mine.bit_generator.state == theirs.bit_generator.state
+
+    def test_boosted_members_equal_oracle(self, monkeypatch):
+        data, _ = min_max_scale(ring_noise_dataset(n=600, n_classes=3, seed=3))
+        X, y = data.rows(np.arange(600)), data.labels
+        got = adaboost_train(X, y, 20, LearnerConfig("tree"), seed=9)
+        monkeypatch.setattr(ensemble, "train_random_tree", tree_fit_oracle.train_random_tree)
+        want = adaboost_train(X, y, 20, LearnerConfig("tree"), seed=9)
+        assert len(got.members) > 10
+        assert [a for a, _ in got.members] == [a for a, _ in want.members]
+        assert [h.to_dict() for _, h in got.members] == [h.to_dict() for _, h in want.members]
 
 
 def assert_routes_like_oracle(tree, X):
