@@ -30,10 +30,6 @@ def validate_weights(w, n: int) -> np.ndarray:
     return w
 
 
-def _weighted_class_mass(y, w, n_classes):
-    return np.bincount(y, weights=w, minlength=n_classes)
-
-
 def _integer(what: str, value) -> int:
     """value itself when it is an int; a model file's "1", 1.5 or true is
     rejected rather than converted."""
@@ -212,7 +208,7 @@ def train_stump(X, y, w, index: StumpIndex | None = None) -> DecisionStump:
     else:
         index.check(X, y)
     n_classes = int(y.max()) + 1
-    total_mass = _weighted_class_mass(y, w, n_classes)
+    total_mass = np.bincount(y, w, n_classes)
     majority = int(np.argmax(total_mass))
     best_err = float(total_mass.sum() - total_mass.max())
     if n_classes < 2:
@@ -402,6 +398,7 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
     rng = np.random.default_rng(seed)
     K = int(y.max()) + 1
     Xt = np.ascontiguousarray(X.T)
+    y_right = y + K  # a row right of a cut counts at K + its class
 
     split, feature, threshold, leaf = [], [], [], []
     stack = [(np.arange(n), 0)]  # (rows, depth); the left child is pushed last
@@ -410,8 +407,8 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
         best = None
         if depth < max_depth and idx.size >= 2:
             y_node = y.take(idx)
-            if not (y_node == y_node[0]).all():
-                w_node, y_right = w.take(idx), y_node + K
+            if np.count_nonzero(y_node != y_node[0]):
+                w_node, y_node_right = w.take(idx), y_right.take(idx)
                 best_score = math.inf
                 columns = {}
                 for _ in range(k_candidates):
@@ -427,7 +424,7 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
                     n_left = np.count_nonzero(mask)
                     if n_left == 0 or n_left == idx.size:
                         continue
-                    masses = np.bincount(np.where(mask, y_node, y_right), w_node, 2 * K)
+                    masses = np.bincount(np.where(mask, y_node, y_node_right), w_node, 2 * K)
                     left, right = masses[:K], masses[K:]
                     # each side's total * Gini, 0.0 for a weightless side. A row
                     # of the (2, K) view sums as that side alone does, and @ is
@@ -436,16 +433,16 @@ def train_random_tree(X, y, w, max_depth: int = 4, k_candidates: int | None = No
                     score = 0.0
                     if tl > 0:
                         p = left / tl
-                        score = tl * (1.0 - p @ p)
+                        score = tl * (1.0 - float(p @ p))
                     if tr > 0:
                         p = right / tr
-                        score += tr * (1.0 - p @ p)
+                        score += tr * (1.0 - float(p @ p))
                     if score < best_score:
                         best_score = score
                         best = f, thr, mask
         split.append(best is not None)
         if best is None:
-            leaf.append(int(np.argmax(_weighted_class_mass(y.take(idx), w.take(idx), K))))
+            leaf.append(int(np.bincount(y.take(idx), w.take(idx), K).argmax()))
             continue
         f, thr, mask = best
         feature.append(f)
