@@ -117,12 +117,20 @@ class ScalingSpec:
 # the fast path converts text in line-aligned blocks of about this many
 # characters, so its temporaries stay a few MB whatever the file's size
 _PARSE_BLOCK_CHARS = 1 << 18
-# an index is converted through float64, which holds every integer up to here
+# the fast path decodes an index of up to this many digits exactly, in
+# int64; one past 2**53 it leaves to the line loop, whose footprint check
+# rejects the file
+_MAX_INDEX_DIGITS = 16
 _MAX_FAST_INDEX = 1 << 53
-# bytes the fast path accepts in the text after the labels: digits . e E + -
-# : and the blanks space, tab, carriage return and newline
-_PAIR_BYTES = np.zeros(256, dtype=bool)
-_PAIR_BYTES[np.frombuffer(b"0123456789.eE+-: \t\r\n", dtype=np.uint8)] = True
+# each byte's class for the fast path, as flags: 1 for the blanks that
+# str.split() splits on in ASCII, 2 for the bytes that may stand only in a
+# line's head, its label and the blanks around it. Pair text is ASCII digits,
+# ". e E + - :" and the blanks space, tab, carriage return and newline.
+_BYTE_CLASS = bytes(
+    0 if c in b"0123456789.eE+-:" else 1 if c in b" \t\r\n"
+    else 3 if c in b"\x0b\x0c\x1c\x1d\x1e\x1f" else 2
+    for c in range(256)
+)
 
 
 def parse_libsvm(text: str) -> Dataset:
@@ -210,110 +218,162 @@ def _scan_blocks(text: str):
     """What ``_scan_lines`` returns, or None when the text is outside the
     subset this path accepts.
 
-    Each line's label is split off in Python; the rest of a block is checked
-    with byte masks and converted by one ``np.fromstring``. A block is
-    accepted only when no label holds ``:``, its pair text is ASCII digits,
-    ``. e E + - :`` and blanks, every chunk is ``<digits>:<value>``, each
-    value converts to exactly one finite number, and the indices lie in
-    [1, 2**53] and strictly increase per row; the whole text also has to
-    pass the footprint check. ``fromstring`` rounds as ``float`` does.
+    Each line-aligned block is read by ``_scan_block`` with no step per line
+    in Python. The whole text also has to pass the footprint check.
     """
     vocab: dict[str, int] = {}
-    labels: list[int] = []
-    row_nnz: list[int] = []
-    col_ind = array("q")
-    values = array("d")
-    d = 0
+    blocks = []
     pos = 0
     while pos < len(text):
         end = text.find("\n", pos + _PARSE_BLOCK_CHARS)
         end = len(text) if end < 0 else end + 1
-        tokens, pairs = _split_labels(text[pos:end])
+        block = _scan_block(text[pos:end], vocab)
         pos = end
-        if not tokens:
-            continue
-        if ":" in "".join(tokens):
-            return None
-        block = _scan_pairs(pairs)
         if block is None:
             return None
-        nnz, idx, val = block
-        labels += [vocab.setdefault(t, len(vocab)) for t in tokens]
-        row_nnz += nnz.tolist()
-        col_ind.frombytes(np.subtract(idx, 1).astype(np.int64).view(np.uint8))
-        values.frombytes(val.view(np.uint8))
-        if idx.size:
-            d = max(d, int(idx.max()))
-    if not labels or not _fits_in_memory(len(labels), d):
+        blocks.append(block)
+    if not blocks:
         return None
-    # exact-size copies: growing a block at a time can leave a sixteenth
-    # spare, held next to the dense matrix
-    return vocab, labels, row_nnz, col_ind[:], values[:], d, None
+    labels, row_nnz, col_ind, values = (np.concatenate(parts) for parts in zip(*blocks))
+    d = int(col_ind.max()) if col_ind.size else 0
+    if not labels.size or not _fits_in_memory(labels.size, d):
+        return None
+    col_ind -= 1
+    return vocab, labels, row_nnz, col_ind, values, d, None
 
 
-def _split_labels(block: str):
-    """Each non-blank line's label, and the rest of the lines, one per line.
+def _scan_block(block: str, vocab: dict[str, int]):
+    """(label ids, pairs per row, indices, values) of a block of lines, or
+    None when a check fails; new labels join ``vocab``.
 
-    A function of its own so that the per-line lists, several times the
-    block's size, are freed before the block's arrays are built.
+    Tokens are the runs between the ASCII blanks of ``str.split``, and the
+    first token of a line is its label. A block is accepted only when every
+    other token is ``<digits>:<value>``, with exactly one colon; a byte
+    outside the pair text stands only in a line's head, its label and the
+    blanks around it, where ``split(None, 1)`` took it; no label holds a
+    Unicode blank; each index has at most 16 digits and lies in [1, 2**53],
+    rising per row; and each value converts to exactly one finite number.
+    ``np.fromstring`` converts the values, and rounds as ``float`` does.
     """
-    heads = [h for h in (line.split(None, 1) for line in block.split("\n")) if h]
-    return [h[0] for h in heads], "\n".join(h[1] if len(h) > 1 else "" for h in heads)
-
-
-def _scan_pairs(pairs: str):
-    """(pairs per row, indices, values) of newline-separated rows of
-    ``<idx>:<val>`` chunks, or None when a check fails."""
     try:
-        raw = pairs.encode("ascii")
-    except UnicodeEncodeError:
+        # a blank after the last token, so that each value has one
+        raw = block.encode() + b" "
+    except UnicodeEncodeError:  # a lone surrogate
         return None
     b = np.frombuffer(raw, dtype=np.uint8)
-    if not _PAIR_BYTES.take(b).all():
-        return None
-    # among the accepted bytes, the blanks are those up to b" ", and digits
-    # and ":" run from b"0" to b":"
-    blank = b <= ord(" ")
-    colons = np.flatnonzero(b == ord(":"))
-    # chunk k runs from starts[k] up to ends[k] and must hold colon k with a
-    # byte on either side; as there are as many colons as chunks, each chunk
-    # then holds exactly one. Blank/non-blank changes alternate, a start
-    # first, when the text begins and ends as if after a blank.
-    cuts = np.flatnonzero(np.diff(blank, prepend=True, append=True))
+    byte_class = np.frombuffer(raw.translate(_BYTE_CLASS), dtype=np.uint8)
+    # token k runs from starts[k] up to ends[k]: blank/non-blank changes
+    # alternate, a start first, when the text begins and ends as if after a
+    # blank
+    cuts = np.flatnonzero(np.diff((byte_class & 1).view(bool), prepend=True, append=True))
     starts, ends = cuts[0::2], cuts[1::2]
-    if starts.size != colons.size or not (
-        (starts < colons).all() and (colons + 1 < ends).all()
+    newlines = np.flatnonzero(b == ord("\n"))
+    # labels: the first token, and the first after each newline
+    is_label = np.zeros(starts.size + 1, dtype=bool)
+    is_label[0] = True
+    is_label[np.searchsorted(starts, newlines)] = True
+    is_label = is_label[:-1]
+    labels = np.flatnonzero(is_label)
+    pair_starts, pair_ends = starts[~is_label], ends[~is_label]
+    # pair k must hold colon k with a byte on either side; as there are as
+    # many colons as pairs, each pair then holds exactly one
+    colons = np.flatnonzero(b == ord(":"))
+    if colons.size != pair_starts.size or not (
+        (pair_starts < colons).all() and (colons + 1 < pair_ends).all()
     ):
         return None
-    # the index is digits: each of + - . E e lies after the colon of its chunk
-    marks = np.flatnonzero(~blank & ((b < ord("0")) | (b > ord(":"))))
-    if marks.size and not (marks > colons[np.searchsorted(starts, marks, "right") - 1]).all():
+    odd = np.flatnonzero(byte_class >= 2)
+    if odd.size:
+        # in a line's head: the last pair to start before the byte starts
+        # before the line does
+        before = np.concatenate(([-1], pair_starts))[np.searchsorted(pair_starts, odd)]
+        line_start = np.concatenate(([-1], newlines))[np.searchsorted(newlines, odd)]
+        if not (before <= line_start).all():
+            return None
+    width = colons - pair_starts
+    if width.size and width.max() > _MAX_INDEX_DIGITS:
         return None
+    # the indices, one gather per digit place, counted back from the colon
+    idx = np.zeros(colons.size, dtype=np.int64)
+    for place in range(int(width.max()) if width.size else 0):
+        digit = b.take(colons - 1 - place, mode="clip").astype(np.int64) - ord("0")
+        digit[width <= place] = 0
+        if ((digit < 0) | (digit > 9)).any():
+            return None
+        idx += digit * 10**place
+    if idx.size and not (idx.min() >= 1 and idx.max() <= _MAX_FAST_INDEX):
+        return None
+    # pairs per row; a row's first pair need not rise from the pair before
+    nnz = np.diff(labels, append=starts.size) - 1
+    first = labels - np.arange(labels.size)
+    rising = idx[1:] > idx[:-1]
+    rising[first[(first > 0) & (first < idx.size)] - 1] = True
+    if not rising.all():
+        return None
+    val = _values(b, colons, pair_ends)
+    if val is None:
+        return None
+    ids = _label_ids(b, starts[labels], ends[labels], vocab)
+    if ids is None:
+        return None
+    return ids, nnz, idx, val
+
+
+def _values(b, colons, ends):
+    """The finite values b[colons[k] + 1:ends[k]], one per pair, or None.
+
+    Each value and the blank after it are gathered into one text, so that
+    ``np.fromstring`` skips one blank per number.
+    """
+    if not colons.size:
+        return np.zeros(0)
+    length = ends - colons
+    offsets = np.cumsum(length) - length
+    text = b[np.repeat(colons + 1 - offsets, length) + np.arange(offsets[-1] + length[-1])]
     with warnings.catch_warnings():
         # older numpy warns, and returns what it read, on text it cannot read
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            nums = np.fromstring(raw.replace(b":", b" "), sep=" ")
+            val = np.fromstring(text.tobytes(), sep=" ")
         except (ValueError, DeprecationWarning):
             return None
-    # one number per index and per value: numpy versions differ in whether
-    # text such as "2+3" is an error or two numbers
-    if nums.size != 2 * colons.size:
+    # one number per value: numpy versions differ in whether text such as
+    # "2+3" is an error or two numbers
+    if val.size != colons.size or not np.isfinite(val).all():
         return None
-    idx, val = nums[0::2], nums[1::2]
-    if idx.size and not (
-        idx.min() >= 1 and idx.max() <= _MAX_FAST_INDEX and np.isfinite(val).all()
-    ):
-        return None
-    # pairs per row: colons before each row's newline
-    bounds = np.searchsorted(colons, np.flatnonzero(b == ord("\n")))
-    nnz = np.diff(bounds, prepend=0, append=colons.size)
-    rising = idx[1:] > idx[:-1]
-    first = bounds[(bounds > 0) & (bounds < colons.size)]
-    rising[first - 1] = True
-    if not rising.all():
-        return None
-    return nnz, idx, np.ascontiguousarray(val)
+    return val
+
+
+def _label_ids(b, starts, ends, vocab: dict[str, int]):
+    """The id in ``vocab`` of each label b[starts[k]:ends[k]], or None when
+    a label holds a Unicode blank, where ``str.split`` would cut it.
+
+    New labels join ``vocab`` in the order of their first line. Labels are
+    told apart one width at a time, so that the keys take about as many
+    bytes as the labels.
+    """
+    width = ends - starts
+    key = np.empty(starts.size, dtype=np.int64)
+    firsts: list[int] = []  # each distinct label's first line
+    for w in np.flatnonzero(np.bincount(width)).tolist():
+        rows = np.flatnonzero(width == w)
+        # zero-padded to whole 64-bit words: within one width, equal words
+        # are equal labels. Up to 8 bytes a label is one word, and longer
+        # ones are rows of words
+        words = np.zeros((rows.size, -(-w // 8) * 8), dtype=np.uint8)
+        words[:, :w] = b[starts[rows, None] + np.arange(w)]
+        words = words.view(np.uint64)
+        one = words.shape[1] == 1
+        _, first, inverse = np.unique(words.ravel() if one else words, axis=None if one else 0,
+                                      return_index=True, return_inverse=True)
+        key[rows] = inverse.reshape(-1) + len(firsts)
+        firsts += rows[first].tolist()
+    names = [b[starts[line]:ends[line]].tobytes().decode() for line in firsts]
+    for k in np.argsort(firsts):
+        if not names[k].isascii() and names[k].split() != [names[k]]:
+            return None
+        vocab.setdefault(names[k], len(vocab))
+    return np.array([vocab[name] for name in names], dtype=np.int64)[key]
 
 
 def _fits_in_memory(n: int, d: int) -> bool:
@@ -335,10 +395,12 @@ def _assemble(vocab, labels, row_nnz, col_ind, values, d, d_line) -> Dataset:
             f"more than the {_physical_bytes()} bytes of physical memory",
             d_line,
         )
-    features = np.zeros((n, d))
+    # filled as (d, n) and returned transposed: column-major, so scaling
+    # reads and writes contiguous columns
+    features = np.zeros((d, n))
     rows = np.repeat(np.arange(n), row_nnz)
-    features[rows, np.frombuffer(col_ind, dtype=np.int64)] = np.frombuffer(values, dtype=np.float64)
-    return Dataset(features, np.asarray(labels, dtype=np.int64), list(vocab))
+    features[np.asarray(col_ind, dtype=np.int64), rows] = np.asarray(values, dtype=np.float64)
+    return Dataset(features.T, np.asarray(labels, dtype=np.int64), list(vocab))
 
 
 def dump_libsvm(data: Dataset) -> str:

@@ -189,10 +189,13 @@ def _parse(path, format: str, label_column: int) -> Dataset:
 
 def _parse_training(cfg: RunConfig) -> Dataset:
     """The training file of cfg, parsed; a single-class file is rejected,
-    since no partition of it can be filtered by class impurity or boosted."""
+    since no partition of it can be filtered by class impurity or boosted,
+    and so is a file without features, which no learner can split on."""
     train = _parse(cfg.train_path, cfg.format, cfg.label_column)
     if train.K < 2:
         raise ValueError("training data has a single class")
+    if train.d == 0:
+        raise ValueError("training data has no features")
     return train
 
 
@@ -207,8 +210,10 @@ def _fit_to_model(test: Dataset, n_features: int, scaling: ScalingSpec | None) -
     if test.d > n_features:
         raise ValueError(f"test data has {test.d} features, model expects {n_features}")
     if test.d < n_features:
-        pad = np.zeros((test.n, n_features - test.d))
-        test = Dataset(np.hstack([test.features, pad]), test.labels, test.label_names)
+        # column-major, as the parsed array is, so that scaling reads columns
+        padded = np.zeros((n_features, test.n)).T
+        padded[:, :test.d] = test.features
+        test = Dataset(padded, test.labels, test.label_names)
     if scaling is not None:
         test = apply_scale(scaling, test)
     return test

@@ -208,6 +208,22 @@ class TestCommands:
         assert capsys.readouterr() == ("", "error: training data has a single class\n")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--learner", "stump", "--reps", "1"],
+        ["train", "--learner", "tree", "--reps", "1"],
+        ["train", "--learner", "knn", "--reps", "1"],
+        ["gini-scan"],
+    ], ids=["stump", "tree", "knn", "gini-scan"])
+    def test_input_without_features_is_data_error(self, tmp_path, capsys, command):
+        # every line a bare label: two classes, no feature to split or score
+        bare = tmp_path / "bare.svm"
+        bare.write_text("1\n2\n" * 4)
+        out = str(tmp_path / "o")
+        code = main(command + ["--train", str(bare), "--out", out, "--partitions", "2"])
+        assert code == 3
+        assert capsys.readouterr() == ("", "error: training data has no features\n")
+        assert not os.path.exists(out)
+
     def test_malformed_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.svm"
         bad.write_text("1 2:1 1:1\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import parse_oracle
 from noisegate import data
 from noisegate.data import (
     Dataset,
@@ -96,6 +97,13 @@ class TestParseLibsvm:
     def test_features_are_dense_float64(self):
         ds = parse_libsvm("1 2:1\n2 1:3")
         assert type(ds.features) is np.ndarray and ds.features.dtype == np.float64
+
+    def test_features_are_column_major(self):
+        # from either scan, so that scaling reads contiguous columns
+        text = "1 2:1\n2 1:3\n1"
+        for ds in (parse_libsvm(text), line_loop(text)):
+            assert ds.features.flags.f_contiguous
+            assert np.array_equal(ds.features, [[0, 1], [3, 0], [0, 0]])
 
 
 def line_loop(text):
@@ -201,15 +209,67 @@ def no_line_loop(text):
     raise AssertionError("parse_libsvm fell back to the line loop")
 
 
+def assert_scan_within_oracle(text) -> bool:
+    """The fast path declines what the frozen scan of tests/parse_oracle.py
+    declines, returns its buffers bit for bit where both accept, and on
+    ASCII text accepts whatever it accepts. Returns whether it accepted."""
+    want = parse_oracle._scan_blocks(text)
+    got = data._scan_blocks(text)
+    if got is None:
+        assert want is None or not text.isascii(), "declined ASCII text the oracle accepts"
+        return False
+    if want is None:
+        # the oracle also declines a block of two or more lines that are
+        # labels alone: np.fromstring reads their blank pair text as [-1.]
+        assert ":" not in text, "accepted a text the oracle declines"
+        want = data._scan_lines(text)
+    assert list(got[0].items()) == list(want[0].items())
+    for g, w in zip(got[1:4], want[1:4]):  # label ids, pairs per row, indices
+        assert np.array_equal(np.asarray(g, dtype=np.int64), np.asarray(w, dtype=np.int64))
+    assert np.array_equal(np.asarray(got[4], dtype=np.float64).view(np.uint64),
+                          np.asarray(want[4], dtype=np.float64).view(np.uint64))
+    assert got[5:] == want[5:]
+    return True
+
+
+def label_fuzz_text(rng):
+    """A few lines whose labels and blanks may hold the characters where
+    ``str.split`` and a byte scan could part ways: the ASCII blanks beyond
+    space and tab, Unicode blanks, and non-ASCII and punctuation labels,
+    with LF or CRLF line ends."""
+    label_chars = ["+", "-", ".", "e", ":", "\x00", "\x01", "\x0b", "\x0c", "\x1c", "\x1f",
+                   "\u00e9", "\u0661", "\u3000", "\x85", "\xa0"]
+    blanks = ["\x0b", "\x0c", "\x1c", "\x1f", "\u3000", "\x85", "\xa0"]
+
+    def odd(options, plain):
+        """Usually plain; else one to three characters drawn from options,
+        around plain."""
+        if rng.random() < 0.8:
+            return plain
+        drawn = [options[i] for i in rng.integers(len(options), size=rng.integers(1, 4))]
+        cut = int(rng.integers(len(drawn) + 1))
+        return "".join(drawn[:cut]) + plain + "".join(drawn[cut:])
+
+    lines = []
+    for _ in range(int(rng.integers(1, 5))):
+        line = odd(blanks, "") + odd(label_chars, str(rng.integers(2)))
+        for j in np.sort(rng.choice(9, rng.integers(3), replace=False)) + 1:
+            line += odd(blanks, " ") + f"{j}:{rng.integers(-9, 10)}"
+        lines.append(line + odd(blanks, "") + ("\r\n" if rng.random() < 0.5 else "\n"))
+    return "".join(lines)
+
+
 class TestFastPathMatchesLineLoop:
     @pytest.mark.parametrize("text", MALFORMED + FALLBACK + VALID)
     def test_listed_inputs(self, text):
         assert assert_parses_like_line_loop(text) == (text not in MALFORMED)
         assert (data._scan_blocks(text) is not None) == (text in VALID)
+        assert assert_scan_within_oracle(text) == (text in VALID)
 
     @pytest.mark.parametrize("block_chars", [data._PARSE_BLOCK_CHARS, 200])
     def test_mutants_of_a_valid_file(self, monkeypatch, block_chars):
         monkeypatch.setattr(data, "_PARSE_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(parse_oracle, "_PARSE_BLOCK_CHARS", block_chars)
         rng = np.random.default_rng(block_chars)
         base = bench_style_text(rng, 30, extra_columns=6)
         chars = "0123456789.:eE+-\t\n_"
@@ -229,7 +289,7 @@ class TestFastPathMatchesLineLoop:
                 # delete the character, or write it twice
                 text = text[:i] + text[i + 1:] if op == 1 else text[:i + 1] + text[i:]
             parsed += assert_parses_like_line_loop(text)
-            fast += data._scan_blocks(text) is not None
+            fast += assert_scan_within_oracle(text)
         # the mutants reach both outcomes, and the fast path takes a share
         assert 0.2 * n_mutants < fast <= parsed < n_mutants
 
@@ -243,6 +303,34 @@ class TestFastPathMatchesLineLoop:
         assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
         assert np.array_equal(got.labels, want.labels)
         assert got.label_names == want.label_names
+
+    @pytest.mark.parametrize("block_chars", [200, 4096])
+    def test_bench_style_text_matches_the_oracle(self, monkeypatch, block_chars):
+        monkeypatch.setattr(data, "_PARSE_BLOCK_CHARS", block_chars)
+        monkeypatch.setattr(parse_oracle, "_PARSE_BLOCK_CHARS", block_chars)
+        text = bench_style_text(np.random.default_rng(block_chars), 1000, extra_columns=98)
+        assert assert_scan_within_oracle(text)
+
+    def test_label_fuzz_matches_the_oracle(self):
+        rng = np.random.default_rng(28)
+        n_texts = 3000
+        fast = 0
+        for _ in range(n_texts):
+            text = label_fuzz_text(rng)
+            fast += assert_scan_within_oracle(text)
+            assert_parses_like_line_loop(text)
+        # the fuzz reaches both outcomes
+        assert 0.1 * n_texts < fast < 0.9 * n_texts
+
+    def test_labels_of_many_widths(self):
+        # one 64-bit word and more; padding bytes and NULs must not merge labels
+        names = ["a", "a\x00", "\x00a", "ab", "abcdefgh", "abcdefgh\x00", "abcdefghi",
+                 "abcdefghij" * 3, "abcdefghij" * 2 + "abcdefghiJ", "\u00e9" * 9]
+        rng = np.random.default_rng(9)
+        text = "".join(f"{names[i]} 1:{i}\n" for i in rng.integers(len(names), size=300))
+        assert assert_scan_within_oracle(text)
+        assert assert_parses_like_line_loop(text)
+        assert sorted(parse_libsvm(text).label_names) == sorted(names)
 
     def test_crlf_file_takes_the_fast_path(self, monkeypatch):
         # a label-only line and trailing blank lines too

@@ -476,6 +476,26 @@ class TestEvaluate:
         assert np.array_equal(global_predict_batch(model, features),
                               global_predict_batch(model, np.ascontiguousarray(features)))
 
+    def test_narrow_test_file_is_padded_column_major(self, small_cfg, monkeypatch):
+        model, _ = run_training(small_cfg)
+        test = parse_libsvm("0 1:-0.9\n1 1:0.4\n0\n")  # feature 1 of 2
+        scaled_inputs = []
+
+        def tracked_scale(spec, data):
+            scaled_inputs.append(data.features)
+            return scale(spec, data)
+
+        scale = pipeline.apply_scale
+        monkeypatch.setattr(pipeline, "apply_scale", tracked_scale)
+        got = pipeline._fit_to_model(test, model.n_features, model.scaling).features
+        # padded and scaled without a transposing copy, to the bits of a
+        # row-major pad
+        assert scaled_inputs[0].flags.f_contiguous and got.flags.f_contiguous
+        row_major = Dataset(np.hstack([test.features, np.zeros((3, 1))]), test.labels,
+                            test.label_names)
+        want = scale(model.scaling, row_major).features
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestPredict:
     def test_labels_decoded_to_tokens(self, small_cfg):
