@@ -14,7 +14,7 @@ import os
 import sys
 
 from .data import ParseError
-from .ensemble import LEARNER_KINDS, DegenerateEnsembleError, LearnerConfig
+from .ensemble import LEARNER_KINDS, LearnerConfig
 from .ocsvm import KERNEL_KINDS
 from .pipeline import (
     BETA_MODES,
@@ -181,17 +181,9 @@ def main(argv=None) -> int:
     _configure_logging()
     try:
         return _dispatch(ns)
-    except DegenerateEnsembleError as exc:
+    except (PartitionError, ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except PartitionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.degenerate:
-            return EXIT_DEGENERATE
-        return EXIT_DATA
-    except (ParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_DEGENERATE if isinstance(exc, PartitionError) and exc.degenerate else EXIT_DATA
 
 
 if __name__ == "__main__":

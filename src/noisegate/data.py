@@ -425,31 +425,37 @@ def parse_csv(text: str, label_column: int) -> Dataset:
     rows: list[list[float]] = []
     width = None
     col = label_column
-    for lineno, record in enumerate(_csv.reader(io.StringIO(text)), start=1):
-        if not record:
-            continue
-        if width is None:
-            width = len(record)
-            if width < 2:
-                raise ParseError("need at least one feature column and a label column", lineno)
-            col = label_column if label_column >= 0 else width + label_column
-            if col < 0 or col >= width:
-                raise ValueError(f"label column {label_column} out of range for {width} columns")
-        elif len(record) != width:
-            raise ParseError(f"ragged row: expected {width} fields, got {len(record)}", lineno)
-        feat = []
-        for j, cell in enumerate(record):
-            if j == col:
-                labels.append(vocab.setdefault(cell.strip(), len(vocab)))
+    reader = _csv.reader(io.StringIO(text, newline=""))
+    try:
+        for record in reader:
+            lineno = reader.line_num
+            if not record:
                 continue
-            try:
-                val = _numeral(float, cell)
-            except ValueError:
-                raise ParseError(f"non-numeric value {cell!r} in column {j}", lineno) from None
-            if not math.isfinite(val):
-                raise ParseError(f"non-finite value {cell!r} in column {j}", lineno)
-            feat.append(val)
-        rows.append(feat)
+            if width is None:
+                width = len(record)
+                if width < 2:
+                    raise ParseError("need at least one feature column and a label column", lineno)
+                col = label_column if label_column >= 0 else width + label_column
+                if col < 0 or col >= width:
+                    raise ValueError(
+                        f"label column {label_column} out of range for {width} columns")
+            elif len(record) != width:
+                raise ParseError(f"ragged row: expected {width} fields, got {len(record)}", lineno)
+            feat = []
+            for j, cell in enumerate(record):
+                if j == col:
+                    labels.append(vocab.setdefault(cell.strip(), len(vocab)))
+                    continue
+                try:
+                    val = _numeral(float, cell)
+                except ValueError:
+                    raise ParseError(f"non-numeric value {cell!r} in column {j}", lineno) from None
+                if not math.isfinite(val):
+                    raise ParseError(f"non-finite value {cell!r} in column {j}", lineno)
+                feat.append(val)
+            rows.append(feat)
+    except _csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
     if not rows:
         raise ParseError("no instances")
     return Dataset(np.asarray(rows, dtype=np.float64), np.asarray(labels, dtype=np.int64),

@@ -177,10 +177,11 @@ class EvalReport:
 
 def _parse(path, format: str, label_column: int) -> Dataset:
     """Read and parse the file at path; a format outside FORMATS is rejected
-    before the file is opened."""
+    before the file is opened. Line ends reach the parser untranslated, so
+    the parser alone decides where a row ends."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
-    with open(path) as fh:
+    with open(path, newline="") as fh:
         text = fh.read()
     if format == "csv":
         return parse_csv(text, label_column)

@@ -263,8 +263,12 @@ class TestCommands:
         ("0.5,a\n1_0,b\n", ["--format", "csv"], "line 2: non-numeric value '1_0' in column 0"),
         ("0.5,a\n\uff11,b\n", ["--format", "csv"],
          "line 2: non-numeric value '\uff11' in column 0"),
+        # text the csv module rejects, and a lone \r, which ends no LIBSVM row
+        ("0.5,a\n" + "1" * 131073 + ",b\n", ["--format", "csv"],
+         "line 2: field larger than field limit (131072)"),
+        ("1 1:1\r0 2:2\n1 1:3\n0 2:1\n", [], "line 1: expected index:value pair, got '0'"),
     ], ids=["underscore-index", "underscore-value", "arabic-indic-index", "full-width-value",
-            "csv-underscore", "csv-full-width"])
+            "csv-underscore", "csv-full-width", "csv-field-past-limit", "libsvm-lone-cr"])
     def test_python_only_numeral_is_data_error(self, tmp_path, capsys, text, flags, message):
         bad = tmp_path / "bad.txt"
         bad.write_text(text, encoding="utf-8")

@@ -507,6 +507,21 @@ class TestPredict:
         assert set(labels) <= {"0", "1"}
 
 
+class TestParse:
+    @pytest.mark.parametrize("fmt, text", [
+        ("csv", "0.5,1,a\r0,2,b\r1,0,a\r"),
+        ("libsvm", "a 1:0.5 2:1\r\nb 2:2\r\na 1:1\r\n"),
+    ], ids=["csv-lone-cr", "libsvm-crlf"])
+    def test_line_ends_read_as_their_lf_twin(self, tmp_path, fmt, text):
+        odd, lf = tmp_path / "odd.txt", tmp_path / "lf.txt"
+        odd.write_bytes(text.encode())
+        lf.write_bytes(text.replace("\r\n", "\n").replace("\r", "\n").encode())
+        got, want = (pipeline._parse(str(p), fmt, -1) for p in (odd, lf))
+        assert got.label_names == want.label_names
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
+
+
 class TestGiniScan:
     def test_writes_per_partition_and_aggregate(self, tmp_path):
         ds = ring_noise_dataset(100, 0.1, seed=3)
