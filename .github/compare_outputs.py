@@ -4,11 +4,12 @@
 
 BASE_DIR holds a tree of the base commit, for example one made with
 ``git archive BASE | tar -x -C BASE_DIR``; the head is the checkout that
-holds this script. Each comparison runs both sides, each with its own code,
-on the same inputs, made by the head, and prints a Markdown section saying
-whether the two sides wrote the same bytes. Some changes mean to change the
-bytes, so a difference is only reported: the script fails only when a run
-fails.
+holds this script. It first prints each side's non-blank line count of
+src/noisegate/*.py, the count refactors are judged by (ROADMAP aim 2). Each
+comparison then runs both sides, each with its own code, on the same inputs,
+made by the head, and prints a Markdown section saying whether the two sides
+wrote the same bytes. Some changes mean to change the bytes, so a difference
+is only reported: the script fails only when a run fails.
 """
 
 import filecmp
@@ -29,6 +30,18 @@ from workloads import WORKLOADS, generate  # noqa: E402
 # rounding rest on a margin between scores, not on exact arithmetic
 SEEDS = (101, 202, 303)
 OUTPUTS = ("report.json", "evaluate.json", "predict.txt")
+
+
+def line_count(root):
+    """Lines of root's src/noisegate/*.py holding more than spaces and tabs,
+    as ``awk 'NF'`` counts them."""
+    src = os.path.join(root, "src", "noisegate")
+    count = 0
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                count += sum(1 for line in fh if line.strip(b" \t\n"))
+    return count
 
 
 def run_side(root, args, stdout=subprocess.DEVNULL):
@@ -144,6 +157,9 @@ def main():
     if len(sys.argv) != 3 or sys.argv[2] not in WORKLOADS:
         sys.exit(f"usage: python3 .github/compare_outputs.py BASE_DIR {{{','.join(WORKLOADS)}}}")
     sides = (os.path.abspath(sys.argv[1]), HEAD)
+    base, head = map(line_count, sides)
+    print(f"### Non-blank lines in src/noisegate/*.py\n- base: {base}\n"
+          f"- head: {head} ({head - base:+d} against the base)")
     with tempfile.TemporaryDirectory() as work:
         # one output path for both sides, so nothing path-dependent differs
         out = os.path.join(work, "out")

@@ -6,61 +6,9 @@ weak learner on each cleaned partition, and combine partitions by
 accuracy-weighted voting.
 """
 
-from .data import (
-    Dataset,
-    ParseError,
-    Partition,
-    ScalingSpec,
-    apply_scale,
-    dataset_stats,
-    min_max_scale,
-    parse_csv,
-    parse_libsvm,
-    partition,
-)
-from .ensemble import (
-    DegenerateEnsembleError,
-    GlobalModel,
-    LearnerConfig,
-    PartitionEnsemble,
-    adaboost_train,
-    compute_beta,
-    load_model,
-    save_model,
-)
-from .learners import (
-    DecisionStump,
-    KnnHypothesis,
-    KnnReference,
-    RandomTree,
-    train_random_tree,
-    train_stump,
-    uniform_weights,
-)
-from .noise_filter import (
-    FilterResult,
-    GiniScanPoint,
-    default_grid,
-    filter_partition,
-    gini_impurity,
-    scan_split_percentage,
-    split_by_score,
-)
-from .ocsvm import (
-    ConvergenceWarning,
-    KernelSpec,
-    OcSvmModel,
-    decision_values,
-    kkt_residual,
-    train_ocsvm,
-)
-from .pipeline import (
-    EvalReport,
-    PartitionError,
-    RunConfig,
-    evaluate,
-    gini_scan,
-    run_training,
-)
+from .data import parse_libsvm, partition
+from .ensemble import LearnerConfig, adaboost_train, compute_beta
+from .noise_filter import filter_partition
+from .pipeline import RunConfig, gini_scan, run_training
 
 __version__ = "0.1.0"

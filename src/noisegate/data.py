@@ -376,8 +376,13 @@ def _label_ids(b, starts, ends, vocab: dict[str, int]):
     return np.array([vocab[name] for name in names], dtype=np.int64)[key]
 
 
+def _scaled_bytes(n: int, d: int) -> int:
+    """Bytes held while scaling an n x d matrix: it, its copy and 3 column vectors."""
+    return (2 * n + 3) * d * 8
+
+
 def _fits_in_memory(n: int, d: int) -> bool:
-    return n * d * 8 <= _physical_bytes()
+    return _scaled_bytes(n, d) <= _physical_bytes()
 
 
 def _physical_bytes() -> int:
@@ -392,7 +397,8 @@ def _assemble(vocab, labels, row_nnz, col_ind, values, d, d_line) -> Dataset:
     if not _fits_in_memory(n, d):
         raise ParseError(
             f"feature index {d} makes the dense {n} x {d} matrix {n * d * 8} bytes, "
-            f"more than the {_physical_bytes()} bytes of physical memory",
+            f"more than the {_physical_bytes()} bytes of physical memory once scaled "
+            f"({_scaled_bytes(n, d)} bytes)",
             d_line,
         )
     # filled as (d, n) and returned transposed: column-major, so scaling

@@ -113,7 +113,7 @@ def _train_weak(base: LearnerConfig, X, y, w, rng, shared):
     """One round's member; ``shared`` is the stump index or k-NN reference
     set built once for all rounds, None for trees."""
     if base.kind == "stump":
-        return train_stump(X, y, w, shared)
+        return train_stump(shared, w)
     if base.kind == "tree":
         return train_random_tree(
             X, y, w, max_depth=base.max_depth, k_candidates=base.k_candidates, seed=rng

@@ -119,6 +119,7 @@ _ROUTE_BYTES = 1 << 18
 class StumpIndex:
     """One training set's columns and labels, sorted once and shared by every
     stump fit of one boosted ensemble: only the weights change between rounds.
+    It keeps the features ``X`` and labels ``y`` it was built from.
 
     ``rows[f]`` holds column f's rows class by class, class c's at
     ``first[c]:first[c + 1]`` in the column's stable sort order. A fit sums
@@ -137,6 +138,7 @@ class StumpIndex:
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         n, d = X.shape
+        self.X, self.y = X, y
         self.first = np.concatenate(([0], np.cumsum(np.bincount(y))))
         K = self.first.size - 1
         zero = self.first[:-1] + np.arange(K)
@@ -156,16 +158,6 @@ class StumpIndex:
             np.copyto(place, seen + (self.first[c] - 1), where=is_c)
         self.rows = np.empty((d, n), dtype=dtype)
         np.put_along_axis(self.rows, place, order, axis=1)
-
-    def check(self, X, y) -> None:
-        """Raise ValueError unless the index was built from X's shape and labels y."""
-        d, n = self.rows.shape
-        if X.shape != (n, d):
-            raise ValueError(f"stump index is for shape {(n, d)}, not {X.shape}")
-        K = self.first.size - 1
-        if y.shape != (n,) or d and not np.array_equal(
-                y[self.rows[0]], np.repeat(np.arange(K), np.diff(self.first))):
-            raise ValueError("stump index was built with other labels")
 
 
 def _misclassified(masses: list) -> np.ndarray:
@@ -188,26 +180,21 @@ def _misclassified(masses: list) -> np.ndarray:
     return total
 
 
-def train_stump(X, y, w, index: StumpIndex | None = None) -> DecisionStump:
-    """Exhaustive search over (feature, midpoint) splits.
+def train_stump(index: StumpIndex, w) -> DecisionStump:
+    """Exhaustive search over (feature, midpoint) splits of the index's
+    (X, y) under weights w.
 
     Minimizes weighted misclassification with weighted-majority leaves.
-    Ties keep the lowest feature index, then the lowest threshold. ``index``
-    is the index of (X, y); without one the fit builds its own.
+    Ties keep the lowest feature index, then the lowest threshold.
 
     Each class's mass left of a cut is its prefix sum in the index's layout:
     the running sum the one-hot search takes along the whole column, since
     adding another class's 0.0 changes no sum.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = index.X, index.y
     n, d = X.shape
     w = validate_weights(w, n)
-    if index is None:
-        index = StumpIndex(X, y)
-    else:
-        index.check(X, y)
-    n_classes = int(y.max()) + 1
+    n_classes = index.first.size - 1
     total_mass = np.bincount(y, w, n_classes)
     majority = int(np.argmax(total_mass))
     best_err = float(total_mass.sum() - total_mass.max())

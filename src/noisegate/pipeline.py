@@ -21,6 +21,8 @@ import numpy as np
 from .data import (
     Dataset,
     ScalingSpec,
+    _fits_in_memory,
+    _physical_bytes,
     apply_scale,
     dataset_stats,
     min_max_scale,
@@ -211,6 +213,9 @@ def _fit_to_model(test: Dataset, n_features: int, scaling: ScalingSpec | None) -
     if test.d > n_features:
         raise ValueError(f"test data has {test.d} features, model expects {n_features}")
     if test.d < n_features:
+        if not _fits_in_memory(test.n, n_features):
+            raise ValueError(f"model expects {n_features} features: a {test.n} x {n_features} "
+                             f"test matrix needs more than {_physical_bytes()} bytes of memory")
         # column-major, as the parsed array is, so that scaling reads columns
         padded = np.zeros((n_features, test.n)).T
         padded[:, :test.d] = test.features

@@ -1,9 +1,11 @@
 import json
 import os
+import random
+import warnings
 
 import pytest
 
-from noisegate import cli, pipeline
+from noisegate import cli, data, pipeline
 from noisegate.cli import build_config, cli_parse, main
 from noisegate.ensemble import DegenerateEnsembleError, LearnerConfig
 from noisegate.pipeline import PartitionError, RunConfig, gini_scan
@@ -290,6 +292,19 @@ class TestCommands:
         assert capsys.readouterr() == ("", "error: test data has 3 features, model expects 2\n")
         assert not os.path.exists(out)
 
+    def test_scaled_copy_past_memory_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # the 2 x 1000 matrix alone fits in 20,000 bytes; with its scaled copy
+        # and three column vectors it takes 56,000
+        monkeypatch.setattr(data, "_physical_bytes", lambda: 20_000)
+        wide = tmp_path / "wide.svm"
+        wide.write_text("a 1:1\nb 1000:1\n")
+        out = str(tmp_path / "o")
+        assert main(["train", "--train", str(wide), "--out", out]) == 3
+        assert capsys.readouterr() == ("", (
+            "error: line 2: feature index 1000 makes the dense 2 x 1000 matrix 16000 bytes, "
+            "more than the 20000 bytes of physical memory once scaled (56000 bytes)\n"))
+        assert not os.path.exists(out)
+
     def test_degenerate_ensemble_exit_code(self, tmp_path, capsys):
         xor = tmp_path / "xor.svm"
         xor.write_text("a 1:0 2:0\na 1:1 2:1\nb 1:0 2:1\nb 1:1 2:0\n")
@@ -321,16 +336,17 @@ class TestCommands:
 
 @pytest.fixture(scope="module")
 def trained_models(tmp_path_factory):
-    """learner kind -> (model document, test file) from one small train each."""
+    """learner kind -> (model document, test file) from one small train each;
+    the stump model is unscaled, so no scaling bounds pin its n_features."""
     root = tmp_path_factory.mktemp("models")
     train = root / "train.svm"
     test = root / "test.svm"
     train.write_text(dump_libsvm(striped_ring_dataset(240, noise_fraction=0.15, seed=1)))
     test.write_text(dump_libsvm(striped_ring_dataset(100, noise_fraction=0.0, seed=2)))
     models = {}
-    for kind in ("tree", "stump", "knn"):
+    for kind, flags in (("tree", []), ("stump", ["--no-scale"]), ("knn", [])):
         out = str(root / kind)
-        assert main(train_args(str(train), str(test), out, ["--learner", kind])) == 0
+        assert main(train_args(str(train), str(test), out, ["--learner", kind] + flags)) == 0
         with open(os.path.join(out, "model.json")) as fh:
             models[kind] = (json.load(fh), str(test))
     return models
@@ -658,6 +674,20 @@ class TestCorruptModel:
         assert main(["evaluate", "--model", str(model), "--test", test]) == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_width_past_memory_rejected(self, trained_models, tmp_path, capsys, command):
+        # padded to this width, the 100 test rows would take 8 TB
+        doc, test = trained_models["stump"]
+        assert doc["scaling"] is None
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**doc, "n_features": 10 ** 10}))
+        flag = {"evaluate": "--test", "predict": "--data"}[command]
+        assert main([command, "--model", str(model), flag, test]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(
+            "error: model expects 10000000000 features: a 100 x 10000000000 test matrix "
+            "needs more than ")
+
     @pytest.mark.parametrize("kind", ["tree", "stump"])
     def test_evaluate_rejects_oversized_integer(self, trained_models, tmp_path, capsys, kind):
         # JSON integers have no bound; past 64 bits numpy and float() overflow
@@ -675,3 +705,97 @@ class TestCorruptModel:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(
             f"error: partition {doc['ensembles'][0]['partition_id']}, member {j}: ")
+
+
+# what a model mutant puts at a path: a value, or "delete" (drop the key or
+# element) or "append" (junk at the end of the array, or an array made of it)
+MODEL_MUTATIONS = [None, "x", 2 ** 70, -2 ** 70, 10 ** 10, 1e308, 10 ** 400, True, [], {},
+                   "delete", "append"]
+# what a text mutant inserts or writes over a few bytes with, or deletes them
+TEXT_PIECES = [b":", b"\r", b"\n", b"\x0b", b"\x00", "é".encode(), "١".encode(), b"1_0",
+               b"1e999", b"nan", b" ", b"\t", b"\xff"]
+CSV_PIECES = TEXT_PIECES + [b",", b'"']
+
+
+def json_paths(doc, path=()):
+    """The path of every value below the document's root."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield path + (key,)
+            yield from json_paths(value, path + (key,))
+
+
+def mutate_model(doc, path, how):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    target = parent[path[-1]]
+    if how == "delete":
+        del parent[path[-1]]
+    elif how == "append":
+        parent[path[-1]] = (target if isinstance(target, list) else [target]) + ["junk"]
+    else:
+        parent[path[-1]] = how
+    return doc
+
+
+def mutate_text(rng, text, pieces):
+    """text with one to three random inserts, deletes and overwrites."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        end = at if rng.random() < 0.4 else at + rng.randint(1, 3)
+        text = text[:at] + (b"" if rng.random() < 0.2 else rng.choice(pieces)) + text[end:]
+    return text
+
+
+class TestBoundaryFuzz:
+    """Seeded mutants of model files and data text through the CLI: each ends
+    in exit 0, 3 or 4, never in an exception or a warning, and exit 3 prints
+    one error line."""
+
+    def run(self, capsys, args, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(args)
+        err = capsys.readouterr().err
+        assert code in (0, 3, 4), what
+        if code == 3:
+            assert err.startswith("error: ") and err.count("\n") == 1, (what, err)
+
+    @pytest.mark.parametrize("kind", ["tree", "stump", "knn"])
+    def test_model_mutants(self, trained_models, tmp_path, capsys, kind):
+        doc, test = trained_models[kind]
+        rng = random.Random(kind)
+        paths = list(json_paths(doc))
+        # every top-level field takes every mutation, 60 deeper paths one each
+        mutants = [(path, how) for path in paths if len(path) == 1 for how in MODEL_MUTATIONS]
+        mutants += [(path, rng.choice(MODEL_MUTATIONS)) for path in rng.sample(paths, 60)]
+        model = tmp_path / "model.json"
+        for i, (path, how) in enumerate(mutants):
+            model.write_text(json.dumps(mutate_model(doc, path, how)))
+            command, flag = (("evaluate", "--test"), ("predict", "--data"))[i % 2]
+            self.run(capsys, [command, "--model", str(model), flag, test], (path, how))
+
+    @pytest.mark.parametrize("fmt", ["libsvm", "csv"])
+    def test_text_mutants(self, tmp_path, capsys, fmt):
+        ds = striped_ring_dataset(60, noise_fraction=0.1, seed=3)
+        if fmt == "libsvm":
+            text, pieces, flags = dump_libsvm(ds).encode(), TEXT_PIECES, []
+        else:
+            text = "".join(",".join(repr(float(v)) for v in row) + f",{ds.label_names[y]}\n"
+                           for row, y in zip(ds.features, ds.labels)).encode()
+            pieces, flags = CSV_PIECES, ["--format", "csv"]
+        rng = random.Random(fmt)
+        mutants = [mutate_text(rng, text, pieces) for _ in range(150)]
+        if fmt == "csv":
+            # a cell past the csv module's field limit, and a quoted line break
+            lines = text.splitlines(True)
+            mutants += [lines[0] + b"1" * 131_073 + b",a\n" + b"".join(lines[1:]),
+                        lines[0] + b'"0.5\n1",2,a\n' + b"".join(lines[1:])]
+        data_file = tmp_path / "data.txt"
+        for mutant in mutants:
+            data_file.write_bytes(mutant)
+            self.run(capsys, ["gini-scan", "--train", str(data_file), "--out",
+                              str(tmp_path / "scan"), "--partitions", "2",
+                              "--grid-step", "0.5"] + flags, mutant[:200])

@@ -25,6 +25,14 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_readme_library_names_import_from_the_top_level():
+    # README's Library section imports these from the package itself
+    from noisegate import (  # noqa: F401
+        LearnerConfig, RunConfig, adaboost_train, compute_beta, filter_partition, gini_scan,
+        parse_libsvm, partition, run_training,
+    )
+
+
 def load_tracing():
     """bench/tracing.py, loaded as a module."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
